@@ -185,37 +185,3 @@ def _arc_cost(pt: Point, med: Median, p: int) -> int | float:
     cv = distance_to_center(pt, med, p)
     return cv.exact if cv.exact is not None else cv.value
 
-
-def capacitated_assignment_cost(blocks: Sequence[Sequence[Point]],
-                                medians: Sequence[Median],
-                                cap: int, p: int) -> CostValue:
-    """Cheapest split of identical-point blocks among centers, parts of size <= cap.
-
-    One network node per block and per center; a block's supply equals its
-    size (typically full blocks of exactly `cap` points), and every center
-    accepts at most `cap` units. Some parts may stay empty.
-    """
-    t = len(blocks)
-    k = len(medians)
-    if t > k:
-        raise ValueError(f"more blocks ({t}) than centers ({k})")
-    for blk in blocks:
-        if not blk:
-            raise ValueError("empty block")
-        if len(blk) > cap:
-            raise ValueError(f"block of {len(blk)} points exceeds capacity {cap}")
-        if any(pt.coords != blk[0].coords for pt in blk):
-            raise ValueError("block members must be identical points")
-    source = 0
-    target = t + k + 1
-    net = FlowNetwork(t + k + 2, source, target)
-    for i, blk in enumerate(blocks):
-        net.add_arc(source, 1 + i, len(blk), 0)
-    for i, blk in enumerate(blocks):
-        for j, med in enumerate(medians):
-            net.add_arc(1 + i, 1 + t + j, cap, _arc_cost(blk[0], med, p))
-    for j in range(k):
-        net.add_arc(1 + t + j, target, cap, 0)
-    volume = sum(len(blk) for blk in blocks)
-    result = min_cost_flow(net, volume)
-    return result.cost

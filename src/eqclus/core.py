@@ -382,6 +382,14 @@ def cost_with_medians(inst: Instance, c: Clustering, medians: Sequence[Median]) 
     return total
 
 
+def identical_groups(points: Iterable[Point]) -> list[list[Point]]:
+    """Maximal groups of identical points in order of first occurrence, each by id."""
+    groups: dict[tuple[int, ...], list[Point]] = {}
+    for pt in points:
+        groups.setdefault(pt.coords, []).append(pt)
+    return [sorted(group, key=lambda pt: pt.id) for group in groups.values()]
+
+
 def extract_full_blocks(inst: Instance) -> tuple[list[tuple[Point, ...]], Instance]:
     """Remove blocks of s identical points while any exist; each removal drops k by one.
 
@@ -392,17 +400,9 @@ def extract_full_blocks(inst: Instance) -> tuple[list[tuple[Point, ...]], Instan
     if inst.k == 0:
         return [], inst
     s = inst.s
-    groups: dict[tuple[int, ...], list[Point]] = {}
-    order: list[tuple[int, ...]] = []
-    for pt in inst.points:
-        if pt.coords not in groups:
-            groups[pt.coords] = []
-            order.append(pt.coords)
-        groups[pt.coords].append(pt)
     blocks: list[tuple[Point, ...]] = []
     removed: set[int] = set()
-    for coords in order:
-        copies = sorted(groups[coords], key=lambda pt: pt.id)
+    for copies in identical_groups(inst.points):
         for b in range(len(copies) // s):
             block = tuple(copies[b * s:(b + 1) * s])
             blocks.append(block)

@@ -14,22 +14,10 @@ from .core import (
     CostValue,
     Instance,
     Median,
-    Point,
     exact_zero,
     extract_full_blocks,
+    identical_groups,
 )
-
-
-def identical_groups(points) -> list[list[Point]]:
-    """Maximal groups of identical points, in order of first occurrence."""
-    groups: dict[tuple[int, ...], list[Point]] = {}
-    order = []
-    for pt in points:
-        if pt.coords not in groups:
-            groups[pt.coords] = []
-            order.append(pt.coords)
-        groups[pt.coords].append(pt)
-    return [sorted(groups[c], key=lambda pt: pt.id) for c in order]
 
 
 def solve_large(inst: Instance) -> tuple[Clustering, CostValue] | None:

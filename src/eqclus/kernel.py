@@ -25,6 +25,7 @@ from .core import (
 )
 from .dimreduce import ReduceMap, reduce_dimension
 from .exact_large import solve_large
+from .formats import FormatError
 
 BRANCH_LARGE_YES = "large-yes"
 BRANCH_LARGE_NO = "large-no"
@@ -165,6 +166,7 @@ def _instance_to_dict(inst: Instance) -> dict:
 
 
 def _instance_from_dict(d: dict) -> Instance:
+    _check_fields(d, _INSTANCE_FIELDS)
     return make_instance(d["coords"], p=d["p"], k=d["k"], B=d["B"],
                          ids=d["ids"], dim=d["dim"])
 
@@ -185,6 +187,7 @@ def _map_to_dict(m: ReduceMap | None) -> dict | None:
 def _map_from_dict(d: dict | None) -> ReduceMap | None:
     if d is None:
         return None
+    _check_fields(d, _MAP_FIELDS)
     return ReduceMap(p=d["p"],
                      parts=tuple(tuple(x) for x in d["parts"]),
                      r_sets=tuple(tuple(x) for x in d["r_sets"]),
@@ -214,20 +217,65 @@ def save_context(ctx: LiftContext, fp: IO[str]) -> None:
     fp.write("\n")
 
 
+# JSON type of every field save_context writes, per object
+_OPTIONAL_LIST = (list, type(None))
+_OPTIONAL_DICT = (dict, type(None))
+_CONTEXT_FIELDS = {"branch": str, "original": dict, "kernel": dict, "blocks": _OPTIONAL_LIST,
+                   "first_map": _OPTIONAL_DICT, "second_map": _OPTIONAL_DICT,
+                   "solved": _OPTIONAL_DICT}
+_INSTANCE_FIELDS = {"p": int, "k": int, "B": int, "dim": int, "ids": list, "coords": list}
+_MAP_FIELDS = {"p": int, "parts": list, "r_sets": list, "shifts": list,
+               "codebooks": _OPTIONAL_LIST, "dim_in": int, "dim_out": int,
+               "sentinel_width": int, "step": int}
+_SOLVED_FIELDS = {"k": int, "assignment": dict}
+# the field each branch's lifting reads besides the instances
+_BRANCH_NEEDS = {BRANCH_LARGE_YES: "solved", BRANCH_LARGE_NO: None, BRANCH_DIMREDUCE_NO: None,
+                 BRANCH_KPRIME_TOO_BIG: None, BRANCH_EMPTY_AFTER_GREEDY: "blocks",
+                 BRANCH_GENERIC: "blocks"}
+
+
+def _check_fields(d: dict, fields: dict) -> None:
+    for key, kind in fields.items():
+        if key not in d:
+            raise FormatError(f"lift context: missing field {key!r}")
+        if isinstance(d[key], bool) or not isinstance(d[key], kind):
+            raise FormatError(f"lift context: field {key!r} has the wrong type")
+
+
 def load_context(fp: IO[str]) -> LiftContext:
-    doc = json.load(fp)
-    if doc.get("format") != CONTEXT_FORMAT or doc.get("version") != CONTEXT_VERSION:
-        raise ValueError("unrecognized lift-context file")
-    solved = None
-    if doc["solved"] is not None:
-        solved = Clustering({int(i): int(c) for i, c in doc["solved"]["assignment"].items()},
-                            doc["solved"]["k"])
-    return LiftContext(
-        branch=doc["branch"],
-        original=_instance_from_dict(doc["original"]),
-        kernel=_instance_from_dict(doc["kernel"]),
-        blocks=(tuple(tuple(b) for b in doc["blocks"]) if doc["blocks"] is not None else None),
-        first_map=_map_from_dict(doc["first_map"]),
-        second_map=_map_from_dict(doc["second_map"]),
-        solved=solved,
-    )
+    """Read a context written by save_context; FormatError if the file is anything else."""
+    try:
+        doc = json.load(fp)
+    except ValueError as exc:  # also bytes that are not UTF-8
+        raise FormatError(f"lift context: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise FormatError("lift context: not a JSON object")
+    _check_fields(doc, {"format": str, "version": int})
+    if doc["format"] != CONTEXT_FORMAT or doc["version"] != CONTEXT_VERSION:
+        raise FormatError(f"lift context: not an {CONTEXT_FORMAT} version {CONTEXT_VERSION} file")
+    _check_fields(doc, _CONTEXT_FIELDS)
+    if doc["branch"] not in _BRANCH_NEEDS:
+        raise FormatError(f"lift context: unknown branch {doc['branch']!r}")
+    needed = _BRANCH_NEEDS[doc["branch"]]
+    if needed is not None and doc[needed] is None:
+        raise FormatError(f"lift context: branch {doc['branch']} needs field {needed!r}")
+    try:
+        solved = None
+        if doc["solved"] is not None:
+            _check_fields(doc["solved"], _SOLVED_FIELDS)
+            solved = Clustering({int(i): int(c) for i, c in doc["solved"]["assignment"].items()},
+                                doc["solved"]["k"])
+        return LiftContext(
+            branch=doc["branch"],
+            original=_instance_from_dict(doc["original"]),
+            kernel=_instance_from_dict(doc["kernel"]),
+            blocks=(tuple(tuple(b) for b in doc["blocks"])
+                    if doc["blocks"] is not None else None),
+            first_map=_map_from_dict(doc["first_map"]),
+            second_map=_map_from_dict(doc["second_map"]),
+            solved=solved,
+        )
+    except FormatError:
+        raise
+    except (TypeError, ValueError) as exc:  # entries of the wrong type or value
+        raise FormatError(f"lift context: {exc}") from None

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from ._engine import best_equal_partition
 from .core import (
     Clustering,
     CostValue,
@@ -22,10 +21,10 @@ from .core import (
     cluster_cost,
     clustering_cost,
     cost_with_medians,
+    identical_groups,
     optimum_median,
     truncated_cost,
 )
-from .exact_large import identical_groups
 from .kernel import BRANCH_GENERIC, lift_solution, lossy_kernelize
 
 ENUMERATION_GUARD = 10_000_000
@@ -73,6 +72,56 @@ def enumerate_equal_partitions(n: int, k: int) -> Iterator[tuple[tuple[int, ...]
     """All unordered partitions of {1..n} into k parts of size n/k, canonically."""
     _check_guard(n, k)
     return _canonical_partitions(tuple(range(1, n + 1)), k)
+
+
+def _cluster_cost(coords, members, p: int) -> int:
+    # priced coordinate by coordinate at the optimum center: for p = 0 the
+    # majority value, for p = 1 the lower median; kept apart from
+    # core.optimum_median so each can check the other
+    total = 0
+    for vals in zip(*(coords[i] for i in members)):
+        if p == 0:
+            total += len(vals) - max(map(vals.count, vals))
+        else:
+            med = sorted(vals)[(len(vals) - 1) // 2]
+            total += sum(abs(v - med) for v in vals)
+    return total
+
+
+def best_equal_partition(coords, k: int, p: int) -> tuple[int, list[int]]:
+    """Minimum-cost equal k-partition of n points given as integer tuples (p in {0, 1}).
+
+    Returns (cost, assignment) with assignment[i] the 0-based cluster of
+    point position i. Clusters are enumerated canonically (each anchored at
+    the lowest unplaced position, the other members taken in combinations
+    order), a branch is cut once its running cost reaches the incumbent, and
+    the first optimum in enumeration order wins.
+    """
+    s = len(coords) // k
+    assign = [0] * len(coords)
+    best_cost: int | None = None
+    best_assign: list[int] = []
+
+    def search(remaining: tuple[int, ...], idx: int, total: int) -> None:
+        nonlocal best_cost, best_assign
+        if not remaining:
+            # every leaf reached beats the incumbent: worse branches were cut
+            best_cost, best_assign = total, assign.copy()
+            return
+        anchor, rest = remaining[0], remaining[1:]
+        for combo in itertools.combinations(rest, s - 1):
+            members = (anchor,) + combo
+            new_total = total + _cluster_cost(coords, members, p)
+            if best_cost is not None and new_total >= best_cost:
+                continue
+            for i in members:
+                assign[i] = idx
+            chosen = set(combo)
+            search(tuple(i for i in rest if i not in chosen), idx + 1, new_total)
+
+    search(tuple(range(len(coords))), 0, 0)
+    assert best_cost is not None
+    return best_cost, best_assign
 
 
 def brute_force_opt(inst: Instance) -> tuple[Clustering, CostValue]:

@@ -7,10 +7,9 @@ from eqclus.assign import (
     FlowNetwork,
     InfeasibleFlowError,
     assign_to_medians,
-    capacitated_assignment_cost,
     min_cost_flow,
 )
-from eqclus.core import Median, Point, cluster_cost, make_instance
+from eqclus.core import Median, cluster_cost, make_instance
 from eqclus.oracle import min_assignment_cost_exhaustive
 
 
@@ -147,74 +146,3 @@ def test_assignment_matches_exhaustive_minimum(p):
         want = min_assignment_cost_exhaustive(inst, meds)
         assert cost.exact == want.exact
 
-
-# ---------------------------------------------------------------------------
-# capacitated block assignment
-
-def blocks_of(*specs):
-    out = []
-    n = 0
-    for count, coords in specs:
-        out.append([Point(tuple(coords), n + i) for i in range(count)])
-        n += count
-    return out
-
-
-def test_capacitated_single_block_onto_matching_center():
-    blocks = blocks_of((3, (5,)))
-    cost = capacitated_assignment_cost(blocks, medians((5,), (9,)), cap=3, p=1)
-    assert cost.exact == 0
-
-
-def test_capacitated_diagonal_blocks():
-    blocks = blocks_of((2, (0,)), (2, (9,)))
-    cost = capacitated_assignment_cost(blocks, medians((0,), (9,)), cap=2, p=1)
-    assert cost.exact == 0
-
-
-def test_capacitated_forced_split():
-    blocks = blocks_of((2, (0,)), (2, (9,)))
-    meds = medians((1,), (9,))
-    cost = capacitated_assignment_cost(blocks, meds, cap=2, p=1)
-    # independent check: enumerate every feasible allocation of the two blocks
-    best = None
-    for a0 in range(3):       # copies of value 0 sent to center 1
-        for b0 in range(3):   # copies of value 9 sent to center 1
-            if a0 + b0 > 2 or (2 - a0) + (2 - b0) > 2:
-                continue
-            c = a0 * 1 + (2 - a0) * 9 + b0 * 8 + (2 - b0) * 0
-            best = c if best is None else min(best, c)
-    assert best == 2
-    assert cost.exact == 2
-
-
-def test_capacitated_rejects_oversized_block():
-    blocks = blocks_of((4, (0,)))
-    with pytest.raises(ValueError):
-        capacitated_assignment_cost(blocks, medians((0,)), cap=3, p=1)
-
-
-def test_capacitated_rejects_more_blocks_than_centers():
-    blocks = blocks_of((1, (0,)), (1, (1,)))
-    with pytest.raises(ValueError):
-        capacitated_assignment_cost(blocks, medians((0,)), cap=2, p=1)
-
-
-def test_capacitated_never_beaten_by_hand_allocation():
-    rng = random.Random(3)
-    for _ in range(20):
-        cap = rng.randint(1, 4)
-        t = rng.randint(1, 3)
-        k = rng.randint(t, 4)
-        blocks = blocks_of(*[(rng.randint(1, cap), (rng.randint(0, 9),)) for _ in range(t)])
-        meds = medians(*[(rng.randint(0, 9),) for _ in range(k)])
-        got = capacitated_assignment_cost(blocks, meds, cap=cap, p=1).exact
-        # a hand-built feasible allocation: greedy whole-block placement
-        load = [0] * k
-        cost = 0
-        for blk in blocks:
-            choices = [j for j in range(k) if load[j] + len(blk) <= cap]
-            j = min(choices, key=lambda j: abs(blk[0].coords[0] - meds[j].coords[0]))
-            load[j] += len(blk)
-            cost += len(blk) * abs(blk[0].coords[0] - int(meds[j].coords[0]))
-        assert got <= cost

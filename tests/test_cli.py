@@ -153,6 +153,14 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ['{"format": "ECLCTX", "version": 1}', "[1, 2]", "not json"])
+def test_lift_rejects_malformed_context(tmp_path, capsys, text):
+    ctx_f = write(tmp_path / "ctx.json", text + "\n")
+    assert main(["lift", "--ctx", ctx_f]) == EXIT_FORMAT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: lift context:")
+
+
 def test_verify_passes_and_reports(capsys):
     assert main(["verify", "--count", "2", "--seed", "11"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from eqclus._bruteforce_py import best_equal_partition as py_engine
-from eqclus.core import clustering_cost, cluster_cost, make_instance, optimum_median
+from eqclus.core import Clustering, clustering_cost, make_instance, optimum_median
 from eqclus.exact_large import solve_large
 from eqclus.generators import gen_random
 from eqclus.oracle import (
@@ -15,11 +14,6 @@ from eqclus.oracle import (
     enumerate_equal_partitions,
     partition_count,
 )
-
-try:
-    from eqclus._bruteforce import best_equal_partition as c_engine
-except ImportError:
-    c_engine = None
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +100,36 @@ def test_brute_force_never_beaten_by_pipeline():
 
 
 # ---------------------------------------------------------------------------
-# engine equivalence and cost cross-checks
+# exhaustive search against enumeration and the median routine
 
-@pytest.mark.skipif(c_engine is None, reason="compiled engine unavailable")
 @pytest.mark.parametrize("p", [0, 1])
-def test_compiled_and_python_engines_identical(p):
+def test_brute_force_returns_first_minimum_of_enumeration(p):
     rng = random.Random(4000 + p)
     for _ in range(30):
-        n, k = rng.choice([(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 5)])
+        n, k = rng.choice([(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2), (10, 5)])
         d = rng.randint(1, 3)
-        coords = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(n)]
-        got_c = c_engine(coords, k, p)
-        got_py = py_engine(coords, k, p)
-        assert got_c[0] == got_py[0]
-        assert list(got_c[1]) == list(got_py[1])
+        inst = make_instance([[rng.randint(-4, 4) for _ in range(d)] for _ in range(n)],
+                             p=p, k=k, B=0)
+        first_min = None
+        for parts in enumerate_equal_partitions(n, k):
+            # enumeration ids are 1..n, instance ids 0..n-1
+            candidate = Clustering.from_clusters([[i - 1 for i in part] for part in parts])
+            cost = clustering_cost(inst, candidate).exact
+            if first_min is None or cost < first_min[0]:
+                first_min = (cost, candidate)
+        clustering, cost = brute_force_opt(inst)
+        assert cost.exact == first_min[0]
+        assert canonical_clusters(clustering) == canonical_clusters(first_min[1])
+
+
+def test_brute_force_exact_on_huge_coordinates():
+    big = 2**62
+    rows = [(big,), (-big,), (big,), (-big,)]
+    clustering, cost = brute_force_opt(make_instance(rows, p=1, k=2, B=0))
+    assert cost.exact == 0
+    assert canonical_clusters(clustering) == ((0, 2), (1, 3))
+    _, cost = brute_force_opt(make_instance(rows, p=1, k=1, B=0))
+    assert cost.exact == 2**64
 
 
 @pytest.mark.parametrize("p", [0, 1])
