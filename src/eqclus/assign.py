@@ -1,10 +1,13 @@
 """Minimum-cost flow and optimal equal-size assignment of points to fixed centers.
 
-The equal assignment is solved as a transportation problem: every point
-supplies one unit, every center sinks exactly s units. With integral
-capacities the successive-shortest-path optimum is integral, which makes it
-equivalent to a minimum-weight perfect matching on a bipartite graph with
-s copies of every center, at the cost of only k sink nodes.
+The equal assignment is solved as a transportation problem over the distinct
+coordinate vectors: each group of identical points supplies as many units as
+it has members, every center sinks exactly s units. With integral capacities
+the successive-shortest-path optimum is integral, which makes it equivalent
+to a minimum-weight perfect matching on a bipartite graph with one node per
+point and s copies of every center, at the cost of one node per distinct
+vector and k sink nodes. Identical points are interchangeable, so the group
+flows expand back to point ids without changing the cost.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .core import (
     Median,
     Point,
     distance_to_center,
-    exact_zero,
+    identical_groups,
 )
 
 
@@ -107,7 +110,10 @@ def min_cost_flow(net: FlowNetwork, volume: int) -> FlowResult:
                 if cap[aid] <= 0:
                     continue
                 v = to[aid]
-                nd = d + cost[aid] + potential[u] - potential[v]
+                # float costs (p >= 2) can round a zero reduced cost to a tiny
+                # negative one, which would let Dijkstra re-relax a cycle forever
+                reduced = cost[aid] + potential[u] - potential[v]
+                nd = d + reduced if reduced > 0 else d
                 if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
                     prev_arc[v] = aid
@@ -147,7 +153,9 @@ def min_cost_flow(net: FlowNetwork, volume: int) -> FlowResult:
 def assign_to_medians(inst: Instance, medians: Sequence[Median]) -> tuple[Clustering, CostValue]:
     """Equal k-clustering minimizing total distance to the given centers.
 
-    The reported cost is measured against the given centers, not re-optimized.
+    The flow runs over groups of identical points; within a group the lowest
+    ids go to the lowest-indexed centers the group ships to. The reported cost
+    is measured against the given centers, not re-optimized.
     """
     k = inst.k
     if len(medians) != k:
@@ -155,33 +163,28 @@ def assign_to_medians(inst: Instance, medians: Sequence[Median]) -> tuple[Cluste
     for med in medians:
         if len(med.coords) != inst.dim:
             raise ValueError("median dimension does not match instance")
-    n = inst.n
-    s = inst.s
+    groups = identical_groups(inst.points)
+    g = len(groups)
     source = 0
-    target = n + k + 1
-    net = FlowNetwork(n + k + 2, source, target)
-    point_arcs: dict[int, tuple[int, int]] = {}  # arc id -> (point pos, median pos)
-    for i in range(n):
-        net.add_arc(source, 1 + i, 1, 0)
-    for i, pt in enumerate(inst.points):
-        for j, med in enumerate(medians):
-            aid = net.add_arc(1 + i, 1 + n + j, 1, _arc_cost(pt, med, inst.p))
-            point_arcs[aid] = (i, j)
+    target = g + k + 1
+    net = FlowNetwork(g + k + 2, source, target)
+    for a, grp in enumerate(groups):
+        net.add_arc(source, 1 + a, len(grp), 0)
+    group_arcs = [[net.add_arc(1 + a, 1 + g + j, len(grp), _arc_cost(grp[0], med, inst.p))
+                   for j, med in enumerate(medians)]
+                  for a, grp in enumerate(groups)]
     for j in range(k):
-        net.add_arc(1 + n + j, target, s, 0)
-    result = min_cost_flow(net, n)
+        net.add_arc(1 + g + j, target, inst.s, 0)
+    result = min_cost_flow(net, inst.n)
     assignment: dict[int, int] = {}
-    for aid, (i, j) in point_arcs.items():
-        if result.flows[aid] == 1:
-            assignment[inst.points[i].id] = j + 1
-    clustering = Clustering(assignment, k)
-    cost = exact_zero(inst.p)
-    for pid, idx in assignment.items():
-        cost = cost + distance_to_center(inst.by_id[pid], medians[idx - 1], inst.p)
-    return clustering, cost
+    for grp, arcs in zip(groups, group_arcs):
+        members = iter(grp)  # sorted by id
+        for j, aid in enumerate(arcs, start=1):
+            for _ in range(result.flows[aid]):
+                assignment[next(members).id] = j
+    return Clustering(assignment, k), result.cost
 
 
 def _arc_cost(pt: Point, med: Median, p: int) -> int | float:
     cv = distance_to_center(pt, med, p)
     return cv.exact if cv.exact is not None else cv.value
-

@@ -21,7 +21,6 @@ from .core import (
     InvalidInstanceError,
     Median,
     clustering_cost,
-    truncated_cost,
 )
 from .exact_large import solve_large
 
@@ -177,9 +176,8 @@ def _cmd_eval(args) -> int:
     inst = formats.parse_instance(_read_text(args.instance))
     clustering = _clustering_from_file(_read_text(args.clustering), inst)
     cost = clustering_cost(inst, clustering)
-    trunc = truncated_cost(inst, clustering)
     print(f"cost {_cost_repr(cost)}")
-    print(f"truncated {_cost_repr(trunc)}")
+    print(f"truncated {_cost_repr(cost.truncated(inst.B))}")
     return EXIT_OK
 
 

@@ -66,6 +66,10 @@ class CostValue:
             return self.exact <= bound
         return self.value <= bound
 
+    def truncated(self, bound: int) -> "CostValue":
+        """This cost if it is at most `bound`, else bound + 1."""
+        return self if self.leq(bound) else CostValue.of_int(bound + 1)
+
 
 def exact_zero(p: int) -> CostValue:
     return CostValue.of_int(0) if p <= 1 else CostValue(0.0)
@@ -364,10 +368,7 @@ def clustering_cost(inst: Instance, c: Clustering) -> CostValue:
 
 def truncated_cost(inst: Instance, c: Clustering) -> CostValue:
     """Clustering cost truncated at the budget: the cost if <= B, else B + 1."""
-    cost = clustering_cost(inst, c)
-    if cost.leq(inst.B):
-        return cost
-    return CostValue.of_int(inst.B + 1)
+    return clustering_cost(inst, c).truncated(inst.B)
 
 
 def cost_with_medians(inst: Instance, c: Clustering, medians: Sequence[Median]) -> CostValue:

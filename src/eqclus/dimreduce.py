@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, Point, distance_leq_budget
+from .core import Instance, Point, distance_leq_budget, identical_groups
 
 
 @dataclass(frozen=True)
@@ -59,28 +59,26 @@ class ReduceMap:
 def greedy_partition(inst: Instance) -> list[list[int]]:
     """Partition ids into closures under pairwise distance <= B.
 
-    Each part is seeded with the lowest unassigned id and absorbs, in id
-    order, every point within budget distance of a current member until
-    closure; points in different parts are therefore at distance > B.
+    Each part is seeded with the lowest unassigned id and absorbs every point
+    within budget distance of a member until closure; points in different
+    parts are therefore at distance > B. Identical points are at distance
+    0 <= B, so the closure runs over distinct coordinate vectors, each
+    represented by its lowest id, and parts expand back to sorted ids.
     """
-    pts = sorted(inst.points, key=lambda pt: pt.id)
-    unassigned = list(range(len(pts)))
+    groups = sorted(identical_groups(inst.points), key=lambda grp: grp[0].id)
+    unassigned = list(range(len(groups)))
     parts: list[list[int]] = []
     while unassigned:
-        member_pos = [unassigned.pop(0)]
-        grown = True
-        while grown:
-            grown = False
+        members = [unassigned.pop(0)]
+        for a in members:  # grows while scanned: each member checks the rest once
             rest = []
-            for pos in unassigned:
-                if any(distance_leq_budget(pts[pos], pts[q], inst.p, inst.B)
-                       for q in member_pos):
-                    member_pos.append(pos)
-                    grown = True
+            for b in unassigned:
+                if distance_leq_budget(groups[a][0], groups[b][0], inst.p, inst.B):
+                    members.append(b)
                 else:
-                    rest.append(pos)
+                    rest.append(b)
             unassigned = rest
-        parts.append(sorted(pts[pos].id for pos in member_pos))
+        parts.append(sorted(pt.id for a in members for pt in groups[a]))
     return parts
 
 

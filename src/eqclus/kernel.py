@@ -242,6 +242,24 @@ def _check_fields(d: dict, fields: dict) -> None:
             raise FormatError(f"lift context: field {key!r} has the wrong type")
 
 
+def _check_lifted_ids(ctx: LiftContext) -> None:
+    """FormatError unless lifting yields an equal clustering of the original's ids."""
+    original = ctx.original
+    if ctx.branch == BRANCH_LARGE_YES:
+        ctx.solved.validate_equal(original)
+    if ctx.branch not in (BRANCH_GENERIC, BRANCH_EMPTY_AFTER_GREEDY):
+        return
+    ids = [pid for blk in ctx.blocks for pid in blk]
+    clusters = len(ctx.blocks)
+    if ctx.branch == BRANCH_GENERIC:
+        ids += ctx.kernel.ids()
+        clusters += ctx.kernel.k
+    if sorted(ids) != sorted(original.ids()):
+        raise FormatError("lift context: blocks and kernel ids do not partition the original's ids")
+    if clusters != original.k or any(len(blk) != original.s for blk in ctx.blocks):
+        raise FormatError("lift context: blocks and kernel clusters do not fit the original's k")
+
+
 def load_context(fp: IO[str]) -> LiftContext:
     """Read a context written by save_context; FormatError if the file is anything else."""
     try:
@@ -265,7 +283,7 @@ def load_context(fp: IO[str]) -> LiftContext:
             _check_fields(doc["solved"], _SOLVED_FIELDS)
             solved = Clustering({int(i): int(c) for i, c in doc["solved"]["assignment"].items()},
                                 doc["solved"]["k"])
-        return LiftContext(
+        ctx = LiftContext(
             branch=doc["branch"],
             original=_instance_from_dict(doc["original"]),
             kernel=_instance_from_dict(doc["kernel"]),
@@ -275,6 +293,8 @@ def load_context(fp: IO[str]) -> LiftContext:
             second_map=_map_from_dict(doc["second_map"]),
             solved=solved,
         )
+        _check_lifted_ids(ctx)
+        return ctx
     except FormatError:
         raise
     except (TypeError, ValueError) as exc:  # entries of the wrong type or value

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
+import signal
 
 import pytest
 
+from eqclus import assign
 from eqclus.assign import (
     FlowNetwork,
     InfeasibleFlowError,
@@ -146,3 +149,65 @@ def test_assignment_matches_exhaustive_minimum(p):
         want = min_assignment_cost_exhaustive(inst, meds)
         assert cost.exact == want.exact
 
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_grouped_assignment_matches_exhaustive_on_repeated_points(p):
+    rng = random.Random(300 + p)
+    for _ in range(30):
+        k, s = rng.choice([(2, 2), (2, 3), (2, 4), (4, 2), (3, 2)])
+        d = rng.randint(1, 2)
+        vectors = [[rng.randint(0, 3) for _ in range(d)] for _ in range(rng.randint(2, 3))]
+        inst = make_instance([rng.choice(vectors) for _ in range(k * s)], p=p, k=k, B=0)
+        meds = [Median(tuple(rng.randint(0, 3) for _ in range(d)), "data-point")
+                for _ in range(k)]
+        clustering, cost = assign_to_medians(inst, meds)
+        clustering.validate_equal(inst)
+        assert cost.exact == min_assignment_cost_exhaustive(inst, meds).exact
+
+
+def test_flow_has_one_supply_node_per_distinct_point(monkeypatch):
+    nets = []
+
+    def capture(net, volume):
+        nets.append(net)
+        return min_cost_flow(net, volume)
+
+    monkeypatch.setattr(assign, "min_cost_flow", capture)
+    inst = make_instance([(0, 0), (5, 5), (0, 0), (5, 5), (0, 0), (1, 0)], p=1, k=2, B=0)
+    _, cost = assign_to_medians(inst, medians((0, 0), (5, 5)))
+    assert cost.exact == 9
+    assert len(nets) == 1 and nets[0].num_nodes == 3 + 2 + 2
+
+
+def test_identical_points_fill_clusters_lowest_id_first():
+    # four copies of (0,) and two of (3,); the zeros split 3 / 1
+    inst = make_instance([(0,), (3,), (0,), (0,), (3,), (0,)], p=1, k=2, B=0,
+                         ids=[8, 1, 5, 2, 4, 9])
+    clustering, cost = assign_to_medians(inst, medians((0,), (3,)))
+    assert cost.exact == 3
+    assert clustering.clusters() == [[2, 5, 8], [1, 4, 9]]
+
+
+def test_float_costs_terminate_at_the_exhaustive_minimum():
+    # p = 2: rounded float potentials once left reduced costs slightly
+    # negative and Dijkstra never returned
+    rows = [(0, -1), (2, 2), (-2, 0), (1, 2), (0, 0), (1, -1)]
+    centers = [(-1, 1), (-1, 0)]
+    inst = make_instance(rows, p=2, k=2, B=0)
+
+    def timeout(signum, frame):
+        raise TimeoutError("min_cost_flow did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        clustering, cost = assign_to_medians(inst, medians(*centers))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    clustering.validate_equal(inst)
+    want = min(sum(math.dist(rows[i], centers[0] if i in first else centers[1])
+                   for i in range(6))
+               for first in itertools.combinations(range(6), 3))
+    assert cost.exact is None
+    assert abs(cost.value - want) <= 1e-9

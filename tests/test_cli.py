@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -153,7 +154,21 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("text", ['{"format": "ECLCTX", "version": 1}', "[1, 2]", "not json"])
+def _context(branch, blocks=None, solved=None):
+    # two points, one cluster; the kernel keeps both ids
+    inst = {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": [0, 1], "coords": [[0], [1]]}
+    return json.dumps({"format": "ECLCTX", "version": 1, "branch": branch,
+                       "original": inst, "kernel": inst, "blocks": blocks,
+                       "first_map": None, "second_map": None, "solved": solved})
+
+
+@pytest.mark.parametrize("text", [
+    '{"format": "ECLCTX", "version": 1}', "[1, 2]", "not json",
+    pytest.param(_context("generic", blocks=[[999]]), id="block-id-not-in-original"),
+    pytest.param(_context("empty-after-greedy", blocks=[[0]]), id="blocks-miss-an-id"),
+    pytest.param(_context("large-yes", solved={"k": 1, "assignment": {"0": 1, "7": 1}}),
+                 id="solved-ids-not-original"),
+])
 def test_lift_rejects_malformed_context(tmp_path, capsys, text):
     ctx_f = write(tmp_path / "ctx.json", text + "\n")
     assert main(["lift", "--ctx", ctx_f]) == EXIT_FORMAT

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eqclus.core import Clustering, clustering_cost, make_instance
+from eqclus.core import Clustering, clustering_cost, distance_leq_budget, make_instance
 from eqclus.dimreduce import coordinate_budget_exponent, greedy_partition, reduce_dimension
 from eqclus.generators import gen_random
 from eqclus.oracle import enumerate_equal_partitions
@@ -26,6 +26,32 @@ def test_partition_strict_separation_at_budget_plus_one():
         inst2 = make_instance([(0,), (B,)], p=1, k=2, B=B) if B else None
         if inst2:
             assert greedy_partition(inst2) == [[0, 1]]
+
+
+def _per_point_partition(inst):
+    # reference: the closure over single points, seeded by the lowest id
+    left = sorted(inst.points, key=lambda pt: pt.id)
+    parts = []
+    while left:
+        part = [left.pop(0)]
+        for pt in part:
+            near = [q for q in left if distance_leq_budget(pt, q, inst.p, inst.B)]
+            part.extend(near)
+            left = [q for q in left if q not in near]
+        parts.append(sorted(pt.id for pt in part))
+    return parts
+
+
+def test_partition_matches_per_point_closure():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        bound = rng.randint(0, 4)
+        d = rng.randint(1, 3)
+        rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
+        inst = make_instance(rows, p=rng.choice([0, 1, 2]), k=1, B=rng.randint(0, 3),
+                             ids=rng.sample(range(50), n))
+        assert greedy_partition(inst) == _per_point_partition(inst)
 
 
 def test_reduce_hand_trace():
