@@ -8,6 +8,8 @@ file, 4 infeasible parameters or guard overflow.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -119,9 +121,18 @@ def _cmd_kernelize(args) -> int:
     inst = formats.parse_instance(_read_text(args.input))
     if args.mode == "lossy":
         kern, ctx = kernel.lossy_kernelize(inst)
-        _write_text(args.out, formats.format_instance(kern))
+        ctx_text = io.StringIO()
+        kernel.save_context(ctx, ctx_text)
+        kern_text = formats.format_instance(kern)
+        # a kernel is useless without its context: write the context first, so
+        # no kernel reaches stdout if it fails, and remove it if the kernel fails
         with open(args.ctx, "w", encoding="utf-8") as fh:
-            kernel.save_context(ctx, fh)
+            fh.write(ctx_text.getvalue())
+        try:
+            _write_text(args.out, kern_text)
+        except OSError:
+            os.remove(args.ctx)
+            raise
         _log(f"kernelize: branch {ctx.branch}, kernel n={kern.n} k={kern.k} "
              f"B={kern.B} d={kern.dim}")
     else:

@@ -126,10 +126,10 @@ class Instance:
             for pt in self.points:
                 if len(pt.coords) != dim:
                     raise InvalidInstanceError("points of mixed dimension")
-                if pt.id < 0:
-                    raise InvalidInstanceError("point ids must be nonnegative")
+                if type(pt.id) is not int or pt.id < 0:
+                    raise InvalidInstanceError("point ids must be nonnegative integers")
                 for c in pt.coords:
-                    if not isinstance(c, int):
+                    if type(c) is not int:  # bool is an int subclass, and not a coordinate
                         raise InvalidInstanceError("coordinates must be integers")
             if dim < 1:
                 raise InvalidInstanceError("dimension must be >= 1")
@@ -161,10 +161,10 @@ class Instance:
 def make_instance(rows: Iterable[Sequence[int]], p: int, k: int, B: int,
                   ids: Sequence[int] | None = None, dim: int = -1) -> Instance:
     """Build an Instance from coordinate rows; ids default to 0..n-1."""
-    rows = [tuple(int(c) for c in row) for row in rows]
+    rows = [tuple(row) for row in rows]
     if ids is None:
         ids = range(len(rows))
-    pts = tuple(Point(row, int(i)) for row, i in zip(rows, ids, strict=True))
+    pts = tuple(Point(row, i) for row, i in zip(rows, ids, strict=True))
     return Instance(pts, p=p, k=k, B=B, dim=dim)
 
 

@@ -22,38 +22,7 @@ exactly. Either way the output dimension stays within k*beta(p,B)*(2B+1) + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Instance, Point, distance_leq_budget, identical_groups
-
-
-@dataclass(frozen=True)
-class ReduceMap:
-    """Index-preserving record of one reduction pass (enough to reconstruct it)."""
-
-    p: int
-    parts: tuple[tuple[int, ...], ...]     # point ids per part, seed order
-    r_sets: tuple[tuple[int, ...], ...]    # kept coordinate indices per part, ascending
-    shifts: tuple[tuple[int, ...], ...]    # p >= 1: per-part minima subtracted
-    codebooks: tuple[tuple[tuple[int, ...], ...], ...] | None  # p = 0: rank -> value
-    dim_in: int
-    dim_out: int
-    sentinel_width: int                    # 1 for p >= 1, B + 1 for p = 0
-    step: int                              # B + 1
-
-    @property
-    def ell(self) -> int:
-        return self.dim_out - self.sentinel_width
-
-    def t_set(self, j: int) -> tuple[int, ...]:
-        kept = set(self.r_sets[j])
-        return tuple(h for h in range(self.dim_in) if h not in kept)
-
-    def sentinel(self, j: int) -> tuple[int, ...]:
-        """Sentinel coordinates appended to every point of part j (0-based)."""
-        if self.p == 0:
-            return (j,) * self.sentinel_width
-        return (j * self.step,)
 
 
 def greedy_partition(inst: Instance) -> list[list[int]]:
@@ -87,7 +56,7 @@ def _nonuniform_coords(points: list[Point], dim: int) -> list[int]:
     return [h for h in range(dim) if any(pt.coords[h] != first[h] for pt in points)]
 
 
-def reduce_dimension(inst: Instance) -> tuple[Instance, ReduceMap] | None:
+def reduce_dimension(inst: Instance) -> Instance | None:
     """Reduced instance (same n, k, B, p; ids preserved) or None if Opt > B.
 
     None is certified in two ways: more parts than clusters, or some part
@@ -106,42 +75,30 @@ def reduce_dimension(inst: Instance) -> tuple[Instance, ReduceMap] | None:
             return None
     nonuni = [_nonuniform_coords(pts, inst.dim) for pts in parts_pts]
     ell = max(len(nu) for nu in nonuni)
-    r_sets: list[tuple[int, ...]] = []
+    kept_coords: list[tuple[int, ...]] = []
     for nu in nonuni:
         kept = set(nu)
         for h in range(inst.dim):
             if len(kept) == ell:
                 break
             kept.add(h)  # pad with smallest-index uniform coordinates
-        r_sets.append(tuple(sorted(kept)))
+        kept_coords.append(tuple(sorted(kept)))
     sentinel_width = B + 1 if p == 0 else 1
-    shifts: list[tuple[int, ...]] = []
-    codebooks: list[tuple[tuple[int, ...], ...]] = []
     new_coords: dict[int, tuple[int, ...]] = {}
-    for j, (pts, rs) in enumerate(zip(parts_pts, r_sets)):
+    for j, (pts, rs) in enumerate(zip(parts_pts, kept_coords)):
         projected = {pt.id: [pt.coords[h] for h in rs] for pt in pts}
         sentinel = (j,) * sentinel_width if p == 0 else (j * (B + 1),)
         if p == 0:
-            books = tuple(tuple(sorted({row[h] for row in projected.values()}))
-                          for h in range(ell))
-            codebooks.append(books)
-            shifts.append(tuple(books[h][0] for h in range(ell)))
-            ranks = [{v: r for r, v in enumerate(book)} for book in books]
+            ranks = [{v: r for r, v in enumerate(sorted({row[h] for row in projected.values()}))}
+                     for h in range(ell)]
             for pid, row in projected.items():
                 new_coords[pid] = tuple(ranks[h][row[h]] for h in range(ell)) + sentinel
         else:
             mins = tuple(min(row[h] for row in projected.values()) for h in range(ell))
-            shifts.append(mins)
             for pid, row in projected.items():
                 new_coords[pid] = tuple(v - m for v, m in zip(row, mins)) + sentinel
     out_points = tuple(Point(new_coords[pt.id], pt.id) for pt in inst.points)
-    reduced = Instance(out_points, p=p, k=k, B=B, dim=ell + sentinel_width)
-    rmap = ReduceMap(p=p, parts=tuple(tuple(ids) for ids in part_ids),
-                     r_sets=tuple(r_sets), shifts=tuple(shifts),
-                     codebooks=tuple(codebooks) if p == 0 else None,
-                     dim_in=inst.dim, dim_out=ell + sentinel_width,
-                     sentinel_width=sentinel_width, step=B + 1)
-    return reduced, rmap
+    return Instance(out_points, p=p, k=k, B=B, dim=ell + sentinel_width)
 
 
 def coordinate_budget_exponent(p: int, B: int) -> int:

@@ -107,12 +107,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise FormatError(f"hypergraph: {exc}") from None
 
 
-def format_hypergraph(h: Hypergraph) -> str:
-    lines = [f"RSM {h.r} {h.num_vertices} {len(h.edges)}"]
-    lines.extend(" ".join(str(v) for v in e) for e in h.edges)
-    return "\n".join(lines) + "\n"
-
-
 def parse_tdm(text: str) -> TdmInstance:
     t = _Tokens(text, "3DM system")
     t.expect("TDM")
@@ -124,12 +118,6 @@ def parse_tdm(text: str) -> TdmInstance:
         return TdmInstance(n, tuple(triples))
     except ValueError as exc:
         raise FormatError(f"3DM system: {exc}") from None
-
-
-def format_tdm(t: TdmInstance) -> str:
-    lines = [f"TDM {t.n} {len(t.triples)}"]
-    lines.extend(f"{x} {y} {z}" for x, y, z in t.triples)
-    return "\n".join(lines) + "\n"
 
 
 def parse_matching(text: str) -> list[int]:

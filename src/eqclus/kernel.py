@@ -23,7 +23,7 @@ from .core import (
     extract_full_blocks,
     make_instance,
 )
-from .dimreduce import ReduceMap, reduce_dimension
+from .dimreduce import reduce_dimension
 from .exact_large import solve_large
 from .formats import FormatError
 
@@ -46,8 +46,6 @@ class LiftContext:
     original: Instance
     kernel: Instance
     blocks: tuple[tuple[int, ...], ...] | None = None  # removed block ids, removal order
-    first_map: ReduceMap | None = None
-    second_map: ReduceMap | None = None
     solved: Clustering | None = None                   # precomputed optimum (large-yes)
 
 
@@ -85,11 +83,10 @@ def lossy_kernelize(inst: Instance) -> tuple[Instance, LiftContext]:
         kernel = trivial_yes_instance(p)
         return kernel, LiftContext(BRANCH_LARGE_YES, inst, kernel, solved=clustering)
 
-    first = reduce_dimension(inst)
-    if first is None:
+    reduced = reduce_dimension(inst)
+    if reduced is None:
         kernel = trivial_no_instance(p)
         return kernel, LiftContext(BRANCH_DIMREDUCE_NO, inst, kernel)
-    reduced, first_map = first
 
     blocks, rest = extract_full_blocks(reduced)
     block_ids = tuple(tuple(pt.id for pt in blk) for blk in blocks)
@@ -99,17 +96,14 @@ def lossy_kernelize(inst: Instance) -> tuple[Instance, LiftContext]:
         return kernel, LiftContext(BRANCH_KPRIME_TOO_BIG, inst, kernel)
     if rest.k == 0:
         kernel = trivial_yes_instance(p)
-        return kernel, LiftContext(BRANCH_EMPTY_AFTER_GREEDY, inst, kernel,
-                                   blocks=block_ids, first_map=first_map)
+        return kernel, LiftContext(BRANCH_EMPTY_AFTER_GREEDY, inst, kernel, blocks=block_ids)
 
     rest = Instance(rest.points, p=p, k=rest.k, B=b_doubled, dim=rest.dim)
-    second = reduce_dimension(rest)
-    if second is None:
+    kernel = reduce_dimension(rest)
+    if kernel is None:
         kernel = trivial_no_instance(p)
         return kernel, LiftContext(BRANCH_DIMREDUCE_NO, inst, kernel)
-    kernel, second_map = second
-    return kernel, LiftContext(BRANCH_GENERIC, inst, kernel, blocks=block_ids,
-                               first_map=first_map, second_map=second_map)
+    return kernel, LiftContext(BRANCH_GENERIC, inst, kernel, blocks=block_ids)
 
 
 def lift_solution(ctx: LiftContext, kernel_clustering: Clustering | None) -> Clustering:
@@ -153,7 +147,7 @@ def exact_kernelize(inst: Instance) -> Instance:
     reduced = reduce_dimension(inst)
     if reduced is None:
         return trivial_no_instance(inst.p)
-    return reduced[0]
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -171,34 +165,6 @@ def _instance_from_dict(d: dict) -> Instance:
                          ids=d["ids"], dim=d["dim"])
 
 
-def _map_to_dict(m: ReduceMap | None) -> dict | None:
-    if m is None:
-        return None
-    return {"p": m.p,
-            "parts": [list(x) for x in m.parts],
-            "r_sets": [list(x) for x in m.r_sets],
-            "shifts": [list(x) for x in m.shifts],
-            "codebooks": ([[list(b) for b in part] for part in m.codebooks]
-                          if m.codebooks is not None else None),
-            "dim_in": m.dim_in, "dim_out": m.dim_out,
-            "sentinel_width": m.sentinel_width, "step": m.step}
-
-
-def _map_from_dict(d: dict | None) -> ReduceMap | None:
-    if d is None:
-        return None
-    _check_fields(d, _MAP_FIELDS)
-    return ReduceMap(p=d["p"],
-                     parts=tuple(tuple(x) for x in d["parts"]),
-                     r_sets=tuple(tuple(x) for x in d["r_sets"]),
-                     shifts=tuple(tuple(x) for x in d["shifts"]),
-                     codebooks=(tuple(tuple(tuple(b) for b in part)
-                                      for part in d["codebooks"])
-                                if d["codebooks"] is not None else None),
-                     dim_in=d["dim_in"], dim_out=d["dim_out"],
-                     sentinel_width=d["sentinel_width"], step=d["step"])
-
-
 def save_context(ctx: LiftContext, fp: IO[str]) -> None:
     doc = {
         "format": CONTEXT_FORMAT,
@@ -207,8 +173,6 @@ def save_context(ctx: LiftContext, fp: IO[str]) -> None:
         "original": _instance_to_dict(ctx.original),
         "kernel": _instance_to_dict(ctx.kernel),
         "blocks": [list(b) for b in ctx.blocks] if ctx.blocks is not None else None,
-        "first_map": _map_to_dict(ctx.first_map),
-        "second_map": _map_to_dict(ctx.second_map),
         "solved": ({"k": ctx.solved.k,
                     "assignment": {str(i): c for i, c in ctx.solved.assignment.items()}}
                    if ctx.solved is not None else None),
@@ -221,12 +185,8 @@ def save_context(ctx: LiftContext, fp: IO[str]) -> None:
 _OPTIONAL_LIST = (list, type(None))
 _OPTIONAL_DICT = (dict, type(None))
 _CONTEXT_FIELDS = {"branch": str, "original": dict, "kernel": dict, "blocks": _OPTIONAL_LIST,
-                   "first_map": _OPTIONAL_DICT, "second_map": _OPTIONAL_DICT,
                    "solved": _OPTIONAL_DICT}
 _INSTANCE_FIELDS = {"p": int, "k": int, "B": int, "dim": int, "ids": list, "coords": list}
-_MAP_FIELDS = {"p": int, "parts": list, "r_sets": list, "shifts": list,
-               "codebooks": _OPTIONAL_LIST, "dim_in": int, "dim_out": int,
-               "sentinel_width": int, "step": int}
 _SOLVED_FIELDS = {"k": int, "assignment": dict}
 # the field each branch's lifting reads besides the instances
 _BRANCH_NEEDS = {BRANCH_LARGE_YES: "solved", BRANCH_LARGE_NO: None, BRANCH_DIMREDUCE_NO: None,
@@ -281,16 +241,16 @@ def load_context(fp: IO[str]) -> LiftContext:
         solved = None
         if doc["solved"] is not None:
             _check_fields(doc["solved"], _SOLVED_FIELDS)
-            solved = Clustering({int(i): int(c) for i, c in doc["solved"]["assignment"].items()},
-                                doc["solved"]["k"])
+            assignment = doc["solved"]["assignment"]
+            if any(type(c) is not int for c in assignment.values()):
+                raise FormatError("lift context: cluster indices must be integers")
+            solved = Clustering({int(i): c for i, c in assignment.items()}, doc["solved"]["k"])
         ctx = LiftContext(
             branch=doc["branch"],
             original=_instance_from_dict(doc["original"]),
             kernel=_instance_from_dict(doc["kernel"]),
             blocks=(tuple(tuple(b) for b in doc["blocks"])
                     if doc["blocks"] is not None else None),
-            first_map=_map_from_dict(doc["first_map"]),
-            second_map=_map_from_dict(doc["second_map"]),
             solved=solved,
         )
         _check_lifted_ids(ctx)

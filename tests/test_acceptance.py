@@ -108,8 +108,8 @@ def test_criterion_2_dimension_reduction_exactness():
         attempts += 1
         inst = gen_random(n=n, k=k, d=rng.randint(1, 3), coord_bound=rng.randint(0, 3),
                           p=p, B=B, seed=rng.randrange(10**9))
-        out = reduce_dimension(inst)
-        if out is None:
+        reduced = reduce_dimension(inst)
+        if reduced is None:
             _, opt = brute_force_opt(inst)
             if opt.exact <= B:
                 _report(2, "dimension-reduction exactness", False,
@@ -117,7 +117,6 @@ def test_criterion_2_dimension_reduction_exactness():
             nobudget_sound += 1
             continue
         reduced_count += 1
-        reduced, _ = out
         ids = sorted(inst.by_id)
         for parts in enumerate_equal_partitions(inst.n, inst.k):
             partitions_checked += 1

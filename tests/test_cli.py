@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eqclus
 from eqclus.cli import (
     EXIT_FORMAT,
     EXIT_INFEASIBLE,
@@ -69,6 +72,19 @@ def test_kernelize_solve_lift_pipeline(tmp_path, capsys):
     with open(out_f, encoding="utf-8") as fh:
         lifted = parse_clustering(fh.read())
     lifted.validate_equal(inst)
+
+
+@pytest.mark.parametrize("unwritable", ["--ctx", "-o"])
+def test_kernelize_failure_leaves_neither_output(tmp_path, capsys, unwritable):
+    inst = make_instance([(0,)] * 4 + [(9,), (9,), (9,), (10,)] + [(20,), (20,), (20,), (23,)],
+                         p=1, k=3, B=4)
+    inst_f = write(tmp_path / "inst.ecl", format_instance(inst))
+    paths = {"-o": tmp_path / "kern.ecl", "--ctx": tmp_path / "ctx.json"}
+    paths[unwritable] = tmp_path / "nodir" / paths[unwritable].name
+    assert main(["kernelize", inst_f, "--mode", "lossy",
+                 "-o", str(paths["-o"]), "--ctx", str(paths["--ctx"])]) == EXIT_FORMAT
+    assert [f.name for f in tmp_path.iterdir()] == ["inst.ecl"]
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_exact_kernelize_mode(tmp_path, capsys):
@@ -154,12 +170,11 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _context(branch, blocks=None, solved=None):
+def _context(branch, blocks=None, solved=None, ids=(0, 1), coords=((0,), (1,))):
     # two points, one cluster; the kernel keeps both ids
-    inst = {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": [0, 1], "coords": [[0], [1]]}
+    inst = {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": ids, "coords": coords}
     return json.dumps({"format": "ECLCTX", "version": 1, "branch": branch,
-                       "original": inst, "kernel": inst, "blocks": blocks,
-                       "first_map": None, "second_map": None, "solved": solved})
+                       "original": inst, "kernel": inst, "blocks": blocks, "solved": solved})
 
 
 @pytest.mark.parametrize("text", [
@@ -168,6 +183,11 @@ def _context(branch, blocks=None, solved=None):
     pytest.param(_context("empty-after-greedy", blocks=[[0]]), id="blocks-miss-an-id"),
     pytest.param(_context("large-yes", solved={"k": 1, "assignment": {"0": 1, "7": 1}}),
                  id="solved-ids-not-original"),
+    pytest.param(_context("large-yes", solved={"k": 1, "assignment": {"0": 1.5, "1": 1}}),
+                 id="fractional-cluster-index"),
+    pytest.param(_context("dimreduce-no", ids=(0.5, 1.5)), id="fractional-ids"),
+    pytest.param(_context("dimreduce-no", coords=((0.25,), (1.25,))), id="fractional-coords"),
+    pytest.param(_context("dimreduce-no", coords=((False,), (True,))), id="bool-coords"),
 ])
 def test_lift_rejects_malformed_context(tmp_path, capsys, text):
     ctx_f = write(tmp_path / "ctx.json", text + "\n")
@@ -190,11 +210,15 @@ def test_verify_parallel_jobs(capsys):
 def test_console_entry_point_round_trip(tmp_path):
     # the installed package must be runnable as python -m eqclus
     inst_f = str(tmp_path / "i.ecl")
+    # the subprocesses import the same package as this test, installed or not
+    src = str(Path(eqclus.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     gen = subprocess.run([sys.executable, "-m", "eqclus", "gen", "--n", "4", "--k", "2",
                           "--d", "1", "--p", "1", "--B", "1", "--seed", "3",
-                          "-o", inst_f], capture_output=True, text=True)
+                          "-o", inst_f], capture_output=True, text=True, env=env)
     assert gen.returncode == 0, gen.stderr
     solve = subprocess.run([sys.executable, "-m", "eqclus", "solve", inst_f,
-                            "--method", "brute"], capture_output=True, text=True)
+                            "--method", "brute"], capture_output=True, text=True, env=env)
     assert solve.returncode == 0, solve.stderr
     assert solve.stdout.startswith("cost ")

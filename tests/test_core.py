@@ -250,6 +250,14 @@ def test_instance_rejects_mixed_dimension():
         Instance((Point((0,), 0), Point((0, 1), 1)), p=1, k=1, B=0)
 
 
+@pytest.mark.parametrize("pt", [Point((True,), 0), Point((0.25,), 0), Point((0,), 0.5),
+                                Point((0,), False)])
+def test_instance_rejects_non_integer_coordinates_and_ids(pt):
+    from eqclus.core import Instance
+    with pytest.raises(InvalidInstanceError):
+        Instance((pt,), p=1, k=1, B=0)
+
+
 def test_cost_value_addition_preserves_exactness():
     a = CostValue.of_int(2)
     b = CostValue.of_int(3)

@@ -56,14 +56,10 @@ def test_partition_matches_per_point_closure():
 
 def test_reduce_hand_trace():
     inst = make_instance([(7, 0), (7, 1)], p=1, k=1, B=1)
-    reduced, rmap = reduce_dimension(inst)
+    reduced = reduce_dimension(inst)
+    # the uniform first coordinate is dropped and the sentinel (0,) appended
     assert [pt.coords for pt in reduced.points] == [(0, 0), (1, 0)]
     assert reduced.dim == 2
-    assert rmap.parts == ((0, 1),)
-    assert rmap.r_sets == ((1,),)
-    assert rmap.t_set(0) == (0,)         # the uniform first coordinate was dropped
-    assert rmap.sentinel(0) == (0,)
-    assert rmap.ell == 1 and rmap.sentinel_width == 1
     # the one cluster costs 1 before and after
     c = Clustering({0: 1, 1: 1}, 1)
     assert clustering_cost(inst, c).exact == 1
@@ -77,10 +73,9 @@ def test_reduce_reports_no_budget_when_parts_exceed_k():
 
 def test_reduce_uniform_instance_collapses_to_sentinel_only():
     inst = make_instance([(5, 5, 5)] * 6, p=1, k=3, B=2)
-    reduced, rmap = reduce_dimension(inst)
+    reduced = reduce_dimension(inst)
     assert reduced.dim == 1
     assert all(pt.coords == (0,) for pt in reduced.points)
-    assert rmap.ell == 0
 
 
 def test_reduce_distinct_value_guard():
@@ -95,8 +90,8 @@ def test_reduce_hamming_crossing_clusters_stay_expensive():
     # reduction while costing 8 > B before it
     inst = make_instance([(0, 0, 0, 0), (1, 1, 0, 0), (5, 5, 5, 5), (5, 5, 6, 6)],
                          p=0, k=2, B=2)
-    reduced, rmap = reduce_dimension(inst)
-    assert rmap.sentinel_width == inst.B + 1
+    reduced = reduce_dimension(inst)
+    assert reduced.dim == 2 + inst.B + 1  # two kept coordinates, B + 1 sentinels
     crossing = Clustering({0: 1, 2: 1, 1: 2, 3: 2}, 2)
     assert clustering_cost(inst, crossing).exact > inst.B
     assert clustering_cost(reduced, crossing).exact > inst.B
@@ -108,7 +103,7 @@ def test_reduce_hamming_rank_compression_bounds_magnitudes():
     # values far apart numerically but Hamming-close land in one part; ranks
     # keep the output coordinates small
     inst = make_instance([(0,), (1000,), (0,), (1000,)], p=0, k=2, B=1)
-    reduced, _ = reduce_dimension(inst)
+    reduced = reduce_dimension(inst)
     worst = max(abs(c) for pt in reduced.points for c in pt.coords)
     assert worst <= inst.B * (inst.k * (2 * inst.B + 1) - 1)
     # Hamming costs are equality patterns; they must survive the remap
@@ -123,14 +118,13 @@ def test_reduce_preserves_identity_and_distinctness():
         inst = gen_random(n=n, k=k, d=rng.randint(1, 3), coord_bound=rng.randint(0, 3),
                           p=rng.choice([0, 1]), B=rng.randint(1, 4),
                           seed=rng.randrange(10**6))
-        out = reduce_dimension(inst)
-        if out is None:
+        reduced = reduce_dimension(inst)
+        if reduced is None:
             continue
-        reduced, rmap = out
         assert reduced.n == inst.n and reduced.k == inst.k and reduced.B == inst.B
         assert [pt.id for pt in reduced.points] == [pt.id for pt in inst.points]
         lookup = {pt.id: pt.coords for pt in reduced.points}
-        for part in rmap.parts:
+        for part in greedy_partition(inst):
             for a, b in itertools.combinations(part, 2):
                 same_in = inst.by_id[a].coords == inst.by_id[b].coords
                 same_out = lookup[a] == lookup[b]
@@ -157,11 +151,10 @@ def test_reduce_cost_correspondence_exhaustive(p):
         B = rng.randint(1, 4)
         inst = gen_random(n=n, k=k, d=rng.randint(1, 2), coord_bound=rng.randint(1, 3),
                           p=p, B=B, seed=rng.randrange(10**6))
-        out = reduce_dimension(inst)
-        if out is None:
+        reduced = reduce_dimension(inst)
+        if reduced is None:
             continue
         checked += 1
-        reduced, _ = out
         for clusters, cost_x in _all_partition_costs(inst, k):
             cost_y = clustering_cost(reduced, Clustering.from_clusters(clusters))
             if cost_x.exact <= B or cost_y.exact <= B:
@@ -179,11 +172,10 @@ def test_reduce_size_and_magnitude_bounds():
         B = rng.randint(0, 3)
         inst = gen_random(n=n, k=k, d=rng.randint(1, 4), coord_bound=rng.randint(0, 4),
                           p=p, B=B, seed=rng.randrange(10**6))
-        out = reduce_dimension(inst)
-        if out is None:
+        reduced = reduce_dimension(inst)
+        if reduced is None:
             continue
         checked += 1
-        reduced, _ = out
         beta = coordinate_budget_exponent(p, B)
         assert reduced.dim <= k * beta * (2 * B + 1) + 1
         coord_bound = max(B * (k * (2 * B + 1) - 1), (k - 1) * (B + 1))

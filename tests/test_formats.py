@@ -4,9 +4,7 @@ from eqclus.core import Clustering, InvalidInstanceError, make_instance
 from eqclus.formats import (
     FormatError,
     format_clustering,
-    format_hypergraph,
     format_instance,
-    format_tdm,
     parse_clustering,
     parse_hypergraph,
     parse_instance,
@@ -72,9 +70,9 @@ def test_clustering_format_needs_contiguous_ids():
         format_clustering(Clustering({5: 1, 7: 1}, 1))
 
 
-def test_hypergraph_round_trip():
-    h = Hypergraph(3, 6, ((1, 2, 3), (4, 5, 6)))
-    assert parse_hypergraph(format_hypergraph(h)) == h
+def test_hypergraph_parse_example():
+    h = parse_hypergraph("RSM 3 6 4\n1 2 3\n4 5 6\n1 3 5\n2 4 5\n")
+    assert h == Hypergraph(3, 6, ((1, 2, 3), (4, 5, 6), (1, 3, 5), (2, 4, 5)))
 
 
 def test_hypergraph_validation_becomes_format_error():
@@ -82,9 +80,9 @@ def test_hypergraph_validation_becomes_format_error():
         parse_hypergraph("RSM 3 6 1\n1 2 2\n")
 
 
-def test_tdm_round_trip():
-    t = TdmInstance(2, ((1, 1, 1), (2, 2, 2)))
-    assert parse_tdm(format_tdm(t)) == t
+def test_tdm_parse_example():
+    t = parse_tdm("TDM 2 4\n1 1 1\n2 2 2\n1 2 2\n2 1 1\n")
+    assert t == TdmInstance(2, ((1, 1, 1), (2, 2, 2), (1, 2, 2), (2, 1, 1)))
 
 
 def test_tdm_validation_becomes_format_error():

@@ -1,5 +1,7 @@
 import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +251,21 @@ def test_context_round_trip_through_text():
         else:
             sol = None
         assert lift_solution(loaded, sol) == lift_solution(ctx, sol)
+
+
+def test_context_with_reduce_maps_still_lifts():
+    # written by `eqclus gen --n 12 --k 3 --d 2 --p 0 --B 1 --seed 1 --coord-bound 2`
+    # and `kernelize --mode lossy` when contexts also carried both dimension
+    # reductions' maps; lift never read them, and the reader ignores them
+    text = (Path(__file__).parent / "data" / "generic_context_with_maps.json").read_text()
+    doc = json.loads(text)
+    loaded = load_context(io.StringIO(text))
+    kern, ctx = lossy_kernelize(loaded.original)
+    buf = io.StringIO()
+    save_context(ctx, buf)
+    extra = doc.keys() - json.loads(buf.getvalue()).keys()
+    assert len(extra) == 2 and all(doc[key] is not None for key in extra)
+    assert loaded == ctx and loaded.branch == BRANCH_GENERIC and loaded.kernel == kern
+    sol, _ = brute_force_opt(kern)
+    lifted = lift_solution(loaded, sol)
+    assert [lifted.assignment[i] for i in range(12)] == [2, 3, 1, 2, 2, 1, 1, 2, 1, 3, 3, 3]
