@@ -1,25 +1,28 @@
 """Command-line front end over the plain-text formats.
 
-Data goes to stdout (or the file named by -o/--out); logs and errors go to
-stderr. Exit codes: 0 ok, 1 verification violation, 2 usage, 3 malformed
-file, 4 infeasible parameters or guard overflow.
+Every command writes all of its outputs or none (`_emit`); "-" is stdin or
+stdout for every file flag, and logs and errors go to stderr. Exit codes: 0
+ok, 1 verification violation, 2 usage, 3 malformed or unusable file, 4
+infeasible parameters, numeric overflow or guard overflow.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import errno
 import io
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import formats, generators, kernel, oracle
-from .assign import InfeasibleFlowError, assign_to_medians
+from .assign import assign_to_medians
 from .core import (
     Clustering,
     CostValue,
     Instance,
-    InvalidClusteringError,
     InvalidInstanceError,
     Median,
     clustering_cost,
@@ -40,12 +43,45 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(outputs: list[tuple[str | None, str]]) -> None:
+    """Write all of a command's rendered (destination, text) outputs, or none.
+
+    None and "-" are stdout: one output at most, written last. Files go to temp
+    files beside them, renamed into place once all are written; devices and
+    pipes (/dev/null, >(...)) are written in place after the renames."""
+    to_stdout = [text for dest, text in outputs if dest in (None, "-")]
+    if len(to_stdout) > 1:
+        raise UsageError("at most one output can go to stdout")
+    staged: list[tuple[str, str, str]] = []  # (destination, temp file, target)
+    in_place: list[tuple[str, str]] = []
+    try:
+        for i, (dest, text) in enumerate(outputs):
+            if dest in (None, "-"):
+                continue
+            if os.path.isdir(dest):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if os.path.exists(dest) and not os.path.isfile(dest):
+                in_place.append((dest, text))
+                continue
+            target = os.path.realpath(dest)  # through a symlink, as open() writes
+            tmp = f"{target}.{os.getpid()}-{i}.tmp"
+            with open(tmp, "x", encoding="utf-8") as fh:
+                staged.append((dest, tmp, target))
+                fh.write(text)
+        for dest, tmp, target in staged:
+            os.replace(tmp, target)
+        for dest, text in in_place:
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except BaseException as exc:
+        for _, tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, dest) from None
+        raise
+    if to_stdout:
+        sys.stdout.write(to_stdout[0])
 
 
 def _log(msg: str) -> None:
@@ -56,9 +92,10 @@ def _cost_repr(cv: CostValue) -> str:
     return str(cv.exact) if cv.exact is not None else repr(cv.value)
 
 
-def _renumber_for_file(c: Clustering, inst: Instance) -> Clustering:
+def _clustering_text(c: Clustering, inst: Instance) -> str:
     # clustering files are positional: line i describes the i-th instance point
-    return Clustering({pos: c.assignment[pt.id] for pos, pt in enumerate(inst.points)}, c.k)
+    return formats.format_clustering(
+        Clustering({pos: c.assignment[pt.id] for pos, pt in enumerate(inst.points)}, c.k))
 
 
 def _clustering_from_file(text: str, inst: Instance) -> Clustering:
@@ -81,39 +118,25 @@ def _cmd_gen(args) -> int:
         inst, planted = generators.gen_planted(
             k=args.k, s=s, d=args.d, spread=args.spread, noise=args.noise,
             p=args.p, seed=args.seed, B=args.B)
-        _write_text(args.out, formats.format_instance(inst))
-        if args.planted_out:
-            _write_text(args.planted_out,
-                        formats.format_clustering(_renumber_for_file(planted, inst)))
     else:
         inst = generators.gen_random(n=args.n, k=args.k, d=args.d,
                                      coord_bound=args.coord_bound, p=args.p,
                                      B=args.B, seed=args.seed)
-        _write_text(args.out, formats.format_instance(inst))
+    outputs = [(args.out, formats.format_instance(inst))]
+    if args.planted and args.planted_out:
+        outputs.append((args.planted_out, _clustering_text(planted, inst)))
+    _emit(outputs)
     return EXIT_OK
 
 
-def _cmd_reduce_rsm(args) -> int:
-    h = formats.parse_hypergraph(_read_text(args.input))
-    inst = generators.reduce_rsm(h)
-    _write_text(args.out, formats.format_instance(inst))
+def _cmd_reduce(args) -> int:
+    problem = args.parse(_read_text(args.input))
+    inst = args.reduce(problem)
+    outputs = [(args.out, formats.format_instance(inst))]
     if args.matching:
-        matching = formats.parse_matching(_read_text(args.matching))
-        planted = generators.planted_rsm_clustering(h, matching)
-        _write_text(args.clustering_out,
-                    formats.format_clustering(_renumber_for_file(planted, inst)))
-    return EXIT_OK
-
-
-def _cmd_reduce_3dm(args) -> int:
-    t = formats.parse_tdm(_read_text(args.input))
-    inst = generators.reduce_3dm(t)
-    _write_text(args.out, formats.format_instance(inst))
-    if args.matching:
-        matching = formats.parse_matching(_read_text(args.matching))
-        planted = generators.planted_3dm_clustering(t, matching)
-        _write_text(args.clustering_out,
-                    formats.format_clustering(_renumber_for_file(planted, inst)))
+        planted = args.plant(problem, formats.parse_matching(_read_text(args.matching)))
+        outputs.append((args.clustering_out, _clustering_text(planted, inst)))
+    _emit(outputs)
     return EXIT_OK
 
 
@@ -123,33 +146,21 @@ def _cmd_kernelize(args) -> int:
         kern, ctx = kernel.lossy_kernelize(inst)
         ctx_text = io.StringIO()
         kernel.save_context(ctx, ctx_text)
-        kern_text = formats.format_instance(kern)
-        # a kernel is useless without its context: write the context first, so
-        # no kernel reaches stdout if it fails, and remove it if the kernel fails
-        with open(args.ctx, "w", encoding="utf-8") as fh:
-            fh.write(ctx_text.getvalue())
-        try:
-            _write_text(args.out, kern_text)
-        except OSError:
-            os.remove(args.ctx)
-            raise
-        _log(f"kernelize: branch {ctx.branch}, kernel n={kern.n} k={kern.k} "
-             f"B={kern.B} d={kern.dim}")
+        outputs, branch = [(args.ctx, ctx_text.getvalue())], f"branch {ctx.branch}, "
     else:
-        kern = kernel.exact_kernelize(inst)
-        _write_text(args.out, formats.format_instance(kern))
-        _log(f"kernelize: kernel n={kern.n} k={kern.k} B={kern.B} d={kern.dim}")
+        kern, outputs, branch = kernel.exact_kernelize(inst), [], ""
+    _emit(outputs + [(args.out, formats.format_instance(kern))])
+    _log(f"kernelize: {branch}kernel n={kern.n} k={kern.k} B={kern.B} d={kern.dim}")
     return EXIT_OK
 
 
 def _cmd_lift(args) -> int:
-    with open(args.ctx, "r", encoding="utf-8") as fh:
-        ctx = kernel.load_context(fh)
+    ctx = kernel.load_context(io.StringIO(_read_text(args.ctx)))
     kernel_clustering = None
     if args.input is not None:
         kernel_clustering = _clustering_from_file(_read_text(args.input), ctx.kernel)
     lifted = kernel.lift_solution(ctx, kernel_clustering)
-    _write_text(args.out, formats.format_clustering(_renumber_for_file(lifted, ctx.original)))
+    _emit([(args.out, _clustering_text(lifted, ctx.original))])
     return EXIT_OK
 
 
@@ -161,12 +172,12 @@ def _cmd_solve(args) -> int:
     if method == "large":
         result = solve_large(inst)
         if result is None:
-            print("NOBUDGET")
+            _emit([(None, "NOBUDGET\n")])
             return EXIT_OK
         clustering, cost = result
     elif method == "brute":
         clustering, cost = oracle.brute_force_opt(inst)
-    elif method == "matching":
+    else:  # matching
         if not args.medians:
             raise UsageError("--method matching requires --medians FILE")
         med_inst = formats.parse_instance(_read_text(args.medians))
@@ -175,11 +186,10 @@ def _cmd_solve(args) -> int:
                 f"medians file has {med_inst.n} points, instance needs k = {inst.k}")
         medians = [Median.from_point(pt) for pt in med_inst.points]
         clustering, cost = assign_to_medians(inst, medians)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown method {method}")
-    print(f"cost {_cost_repr(cost)}")
+    outputs = [(None, f"cost {_cost_repr(cost)}\n")]
     if args.out:
-        _write_text(args.out, formats.format_clustering(_renumber_for_file(clustering, inst)))
+        outputs.append((args.out, _clustering_text(clustering, inst)))
+    _emit(outputs)
     return EXIT_OK
 
 
@@ -187,8 +197,7 @@ def _cmd_eval(args) -> int:
     inst = formats.parse_instance(_read_text(args.instance))
     clustering = _clustering_from_file(_read_text(args.clustering), inst)
     cost = clustering_cost(inst, clustering)
-    print(f"cost {_cost_repr(cost)}")
-    print(f"truncated {_cost_repr(cost.truncated(inst.B))}")
+    _emit([(None, f"cost {_cost_repr(cost)}\ntruncated {_cost_repr(cost.truncated(inst.B))}\n")])
     return EXIT_OK
 
 
@@ -250,27 +259,22 @@ def _run_verify_case(case: tuple) -> tuple[str, list[str]]:
 
 def _cmd_verify(args) -> int:
     cases = _verify_cases(args.count, args.seed)
-    failures = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_verify_case, cases))
     else:
         results = [_run_verify_case(c) for c in cases]
-    per_suite: dict[str, int] = {}
-    for desc, violations in results:
-        per_suite[desc.split("(")[0]] = per_suite.get(desc.split("(")[0], 0) + 1
-        if violations:
-            failures.append((desc, violations))
+    per_suite = collections.Counter(desc.split("(")[0] for desc, _ in results)
     for suite, cnt in sorted(per_suite.items()):
         _log(f"verify: suite {suite}: {cnt} instances")
+    failures = [(desc, violations) for desc, violations in results if violations]
+    lines = [f"VIOLATION {desc}: {v}" for desc, violations in failures for v in violations]
     if failures:
-        for desc, violations in failures:
-            for v in violations:
-                print(f"VIOLATION {desc}: {v}")
-        print(f"verify: {len(failures)} of {len(cases)} checks failed")
-        return EXIT_VIOLATION
-    print(f"verify: all {len(cases)} checks passed")
-    return EXIT_OK
+        lines.append(f"verify: {len(failures)} of {len(cases)} checks failed")
+    else:
+        lines.append(f"verify: all {len(cases)} checks passed")
+    _emit([(None, "".join(line + "\n" for line in lines))])
+    return EXIT_VIOLATION if failures else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +303,17 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--out", default=None)
     g.set_defaults(func=_cmd_gen)
 
-    rr = sub.add_parser("reduce-rsm", help="hypergraph matching -> instance")
-    rr.add_argument("input")
-    rr.add_argument("-o", "--out", default=None)
-    rr.add_argument("--matching", default=None)
-    rr.add_argument("--clustering-out", default=None)
-    rr.set_defaults(func=_cmd_reduce_rsm)
-
-    rt = sub.add_parser("reduce-3dm", help="3-dimensional matching -> instance")
-    rt.add_argument("input")
-    rt.add_argument("-o", "--out", default=None)
-    rt.add_argument("--matching", default=None)
-    rt.add_argument("--clustering-out", default=None)
-    rt.set_defaults(func=_cmd_reduce_3dm)
+    for name, what, parse, reduce, plant in (
+            ("reduce-rsm", "hypergraph matching", formats.parse_hypergraph,
+             generators.reduce_rsm, generators.planted_rsm_clustering),
+            ("reduce-3dm", "3-dimensional matching", formats.parse_tdm,
+             generators.reduce_3dm, generators.planted_3dm_clustering)):
+        rd = sub.add_parser(name, help=f"{what} -> instance")
+        rd.add_argument("input")
+        rd.add_argument("-o", "--out", default=None)
+        rd.add_argument("--matching", default=None)
+        rd.add_argument("--clustering-out", default=None)
+        rd.set_defaults(func=_cmd_reduce, parse=parse, reduce=reduce, plant=plant)
 
     kz = sub.add_parser("kernelize", help="shrink an instance")
     kz.add_argument("input")
@@ -358,22 +360,15 @@ def main(argv=None) -> int:
             ap.error("--ctx applies only to --mode lossy (exact kernels need no lifting)")
     try:
         return args.func(args)
-    except formats.FormatError as exc:
-        _log(f"error: {exc}")
-        return EXIT_FORMAT
-    except (InvalidInstanceError, InvalidClusteringError, oracle.GuardExceededError,
-            InfeasibleFlowError) as exc:
-        _log(f"error: {exc}")
-        return EXIT_INFEASIBLE
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return EXIT_USAGE
-    except ValueError as exc:
-        _log(f"error: {exc}")
-        return EXIT_INFEASIBLE
-    except OSError as exc:
+    except (formats.FormatError, UnicodeDecodeError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_FORMAT
+    except (ValueError, OverflowError, oracle.GuardExceededError) as exc:
+        _log(f"error: {exc}")
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -98,6 +98,8 @@ def best_equal_partition(coords, k: int, p: int) -> tuple[int, list[int]]:
     the first optimum in enumeration order wins.
     """
     s = len(coords) // k
+    if s == 1:  # singletons cost 0; the search would recurse once per point
+        return 0, list(range(len(coords)))
     assign = [0] * len(coords)
     best_cost: int | None = None
     best_assign: list[int] = []

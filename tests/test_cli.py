@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from eqclus.cli import (
     EXIT_FORMAT,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 from eqclus.core import clustering_cost, make_instance
@@ -74,17 +77,117 @@ def test_kernelize_solve_lift_pipeline(tmp_path, capsys):
     lifted.validate_equal(inst)
 
 
-@pytest.mark.parametrize("unwritable", ["--ctx", "-o"])
-def test_kernelize_failure_leaves_neither_output(tmp_path, capsys, unwritable):
+# each command with two outputs: argv for inputs in tmp_path and the two output flags
+TWO_OUTPUTS = {
+    "kernelize": (lambda d: ["kernelize", str(d / "inst.ecl"), "--mode", "lossy"],
+                  ("--ctx", "-o")),
+    "gen": (lambda d: ["gen", "--n", "12", "--k", "3", "--planted"], ("-o", "--planted-out")),
+    "reduce-rsm": (lambda d: ["reduce-rsm", str(d / "h.rsm"), "--matching", str(d / "m.txt")],
+                   ("-o", "--clustering-out")),
+    "reduce-3dm": (lambda d: ["reduce-3dm", str(d / "t.tdm"), "--matching", str(d / "m.txt")],
+                   ("-o", "--clustering-out")),
+}
+
+
+def _write_inputs(d):
     inst = make_instance([(0,)] * 4 + [(9,), (9,), (9,), (10,)] + [(20,), (20,), (20,), (23,)],
                          p=1, k=3, B=4)
-    inst_f = write(tmp_path / "inst.ecl", format_instance(inst))
-    paths = {"-o": tmp_path / "kern.ecl", "--ctx": tmp_path / "ctx.json"}
-    paths[unwritable] = tmp_path / "nodir" / paths[unwritable].name
-    assert main(["kernelize", inst_f, "--mode", "lossy",
-                 "-o", str(paths["-o"]), "--ctx", str(paths["--ctx"])]) == EXIT_FORMAT
-    assert [f.name for f in tmp_path.iterdir()] == ["inst.ecl"]
-    assert capsys.readouterr().err.startswith("error: ")
+    write(d / "inst.ecl", format_instance(inst))
+    write(d / "h.rsm", FIG1_RSM)
+    write(d / "t.tdm", "TDM 2 4\n1 1 1\n2 2 2\n1 2 2\n2 1 1\n")
+    write(d / "m.txt", "1 2\n")
+
+
+def _tree(d):
+    return sorted(str(f.relative_to(d)) for f in d.rglob("*"))
+
+
+@pytest.mark.parametrize("command, broken, how, existing", [
+    pytest.param(command, broken, how, existing,
+                 id=f"{command}-{flag.lstrip('-')}-{how}-{'existing' if existing else 'fresh'}")
+    for command, (_, flags) in TWO_OUTPUTS.items()
+    for broken, flag in enumerate(flags)
+    for how in ("nodir", "isdir")
+    for existing in (False, True)])
+def test_failed_write_leaves_no_output(tmp_path, capsys, command, broken, how, existing):
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    _write_inputs(inputs)
+    make_argv, flags = TWO_OUTPUTS[command]
+    dests = [out / "first", out / "second"]
+    if existing:
+        for dest in dests:
+            dest.write_bytes(b"old\n")
+    if how == "nodir":
+        dests[broken] = out / "nodir" / "x"
+    else:
+        dests[broken] = out / "adir"
+        dests[broken].mkdir()
+    before = _tree(out)
+    argv = make_argv(inputs) + [flags[0], str(dests[0]), flags[1], str(dests[1])]
+    assert main(argv) == EXIT_FORMAT
+    assert _tree(out) == before  # no output, no temp file
+    if existing:
+        assert dests[1 - broken].read_bytes() == b"old\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(dests[broken]) in captured.err
+
+
+def test_kernelize_context_to_stdout(tmp_path, capsys, monkeypatch):
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["kernelize", "inst.ecl", "--mode", "lossy", "--ctx", "-",
+                 "-o", "k.ecl"]) == EXIT_OK
+    ctx_text = capsys.readouterr().out
+    assert json.loads(ctx_text)["format"] == "ECLCTX"
+    assert not (tmp_path / "-").exists() and (tmp_path / "k.ecl").is_file()
+    # and lift reads it back from stdin
+    assert main(["solve", "k.ecl", "--method", "brute", "-o", "ks.assign"]) == EXIT_OK
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ctx_text))
+    assert main(["lift", "ks.assign", "--ctx", "-", "-o", "l.assign"]) == EXIT_OK
+    parse_clustering((tmp_path / "l.assign").read_text(encoding="utf-8")).validate_equal(
+        parse_instance((tmp_path / "inst.ecl").read_text(encoding="utf-8")))
+    assert not (tmp_path / "-").exists()
+
+
+def test_outputs_write_through_symlinks_and_pipes(tmp_path, monkeypatch):
+    # a symlinked target is written through, and a pipe is written, not renamed onto
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real.ecl").write_text("old\n", encoding="utf-8")
+    (tmp_path / "link.ecl").symlink_to("real.ecl")
+    os.mkfifo(tmp_path / "pipe")
+    got = []
+    reader = threading.Thread(target=lambda: got.append((tmp_path / "pipe").read_text()),
+                              daemon=True)
+    reader.start()
+    assert main(["gen", "--n", "4", "--k", "2", "--planted", "-o", "link.ecl",
+                 "--planted-out", "pipe"]) == EXIT_OK
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got[0].startswith("ASSIGN 1 4 2\n")
+    assert (tmp_path / "link.ecl").is_symlink()
+    assert (tmp_path / "real.ecl").read_text(encoding="utf-8").startswith("ECL 1\n")
+    assert (tmp_path / "pipe").is_fifo()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["link.ecl", "pipe", "real.ecl"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["reduce-rsm", "h.rsm", "--matching", "m.txt"], id="reduce-rsm-defaults"),
+    pytest.param(["reduce-rsm", "h.rsm", "--matching", "m.txt", "-o", "-", "--clustering-out", "-"],
+                 id="reduce-rsm-dashes"),
+    pytest.param(["solve", "inst.ecl", "-o", "-"], id="solve"),
+    pytest.param(["kernelize", "inst.ecl", "--mode", "lossy", "--ctx", "-"], id="kernelize"),
+    pytest.param(["gen", "--n", "4", "--k", "2", "--planted", "--planted-out", "-"], id="gen"),
+])
+def test_two_outputs_on_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: ")
+    assert _tree(tmp_path) == before
 
 
 def test_exact_kernelize_mode(tmp_path, capsys):
@@ -168,6 +271,33 @@ def test_exit_codes(tmp_path, capsys):
     big_f = write(tmp_path / "big.ecl", format_instance(big))
     assert main(["solve", big_f, "--method", "brute"]) == EXIT_INFEASIBLE
     capsys.readouterr()
+    # bytes that are not UTF-8 make a malformed file, not infeasible parameters
+    raw_f = tmp_path / "raw.ecl"
+    raw_f.write_bytes(b"\xff\xfe")
+    good = make_instance([(0,), (1,)], p=1, k=1, B=0)
+    good_f = write(tmp_path / "good.ecl", format_instance(good))
+    for argv in (["solve", str(raw_f)], ["eval", str(raw_f), str(raw_f)],
+                 ["eval", good_f, str(raw_f)], ["reduce-rsm", str(raw_f)]):
+        assert main(argv) == EXIT_FORMAT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+    # a pth-power sum beyond float range (p = 400): one error line, exit 4
+    huge_f = write(tmp_path / "huge.ecl", "ECL 1\n400 1 10 1 1\n" + "0\n" * 9 + "10\n")
+    assert main(["solve", huge_f]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("method", ["auto", "brute"])
+def test_solve_singleton_clusters_at_scale(tmp_path, capsys, method):
+    # s = 1 < 4B + 1, so auto takes the exhaustive search as brute does
+    inst_f = write(tmp_path / "s1.ecl", format_instance(
+        make_instance([(i,) for i in range(2000)], p=1, k=2000, B=1)))
+    sol_f = tmp_path / "s1.assign"
+    assert main(["solve", inst_f, "--method", method, "-o", str(sol_f)]) == EXIT_OK
+    assert capsys.readouterr().out == "cost 0\n"
+    clustering = parse_clustering(sol_f.read_text(encoding="utf-8"))
+    assert clustering.clusters() == [[i] for i in range(2000)]
 
 
 def _context(branch, blocks=None, solved=None, ids=(0, 1), coords=((0,), (1,))):

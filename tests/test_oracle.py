@@ -7,6 +7,7 @@ from eqclus.exact_large import solve_large
 from eqclus.generators import gen_random
 from eqclus.oracle import (
     GuardExceededError,
+    best_equal_partition,
     brute_force_opt,
     canonical_clusters,
     check_lossy_ratio,
@@ -130,6 +131,31 @@ def test_brute_force_exact_on_huge_coordinates():
     assert canonical_clusters(clustering) == ((0, 2), (1, 3))
     _, cost = brute_force_opt(make_instance(rows, p=1, k=1, B=0))
     assert cost.exact == 2**64
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_singleton_clusters_match_first_minimum_of_enumeration(n, p):
+    rng = random.Random(700 + 10 * n + p)
+    coords = [tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(n)]
+    inst = make_instance(coords, p=p, k=n, B=0)
+    first_min = None
+    for parts in enumerate_equal_partitions(n, n):
+        candidate = [0] * n
+        for idx, part in enumerate(parts):
+            for i in part:
+                candidate[i - 1] = idx
+        cost = clustering_cost(inst, Clustering({i: c + 1 for i, c in enumerate(candidate)}, n))
+        if first_min is None or cost.exact < first_min[0]:
+            first_min = (cost.exact, candidate)
+    assert best_equal_partition(coords, n, p) == first_min
+
+
+def test_brute_force_singleton_clusters_at_scale():
+    n = 2000
+    clustering, cost = brute_force_opt(make_instance([(i,) for i in range(n)], p=1, k=n, B=1))
+    assert cost.exact == 0
+    assert canonical_clusters(clustering) == tuple((i,) for i in range(n))
 
 
 @pytest.mark.parametrize("p", [0, 1])
