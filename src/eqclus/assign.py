@@ -22,8 +22,8 @@ from .core import (
     Instance,
     Median,
     Point,
+    distance_leq_budget,
     distance_to_center,
-    identical_groups,
 )
 
 
@@ -150,12 +150,21 @@ def min_cost_flow(net: FlowNetwork, volume: int) -> FlowResult:
     return FlowResult(flows, cv, shipped)
 
 
-def assign_to_medians(inst: Instance, medians: Sequence[Median]) -> tuple[Clustering, CostValue]:
+def assign_to_medians(inst: Instance, medians: Sequence[Median],
+                      budget: int | None = None) -> tuple[Clustering, CostValue]:
     """Equal k-clustering minimizing total distance to the given centers.
 
     The flow runs over groups of identical points; within a group the lowest
     ids go to the lowest-indexed centers the group ships to. The reported cost
     is measured against the given centers, not re-optimized.
+
+    With a budget, a group gets an arc only to the centers within distance
+    `budget` of it, decided exactly by `distance_leq_budget` (the centers
+    must be integral). No point of an assignment costing at most `budget` is
+    farther than that from its center, so whenever such an assignment exists
+    the pruned optimum equals the dense one. When none exists the flow may
+    fail instead: InfeasibleFlowError is raised, at once when some group has
+    no center within budget, else by the flow.
     """
     k = inst.k
     if len(medians) != k:
@@ -163,25 +172,32 @@ def assign_to_medians(inst: Instance, medians: Sequence[Median]) -> tuple[Cluste
     for med in medians:
         if len(med.coords) != inst.dim:
             raise ValueError("median dimension does not match instance")
-    groups = identical_groups(inst.points)
+    groups = inst.groups
     g = len(groups)
     source = 0
     target = g + k + 1
     net = FlowNetwork(g + k + 2, source, target)
     for a, grp in enumerate(groups):
         net.add_arc(source, 1 + a, len(grp), 0)
-    group_arcs = [[net.add_arc(1 + a, 1 + g + j, len(grp), _arc_cost(grp[0], med, inst.p))
-                   for j, med in enumerate(medians)]
-                  for a, grp in enumerate(groups)]
+    group_arcs: list[list[tuple[int, int]]] = []  # per group: (cluster index, arc id)
+    for a, grp in enumerate(groups):
+        rep = grp[0]
+        arcs = [(j, net.add_arc(1 + a, 1 + g + j, len(grp), _arc_cost(rep, med, inst.p)))
+                for j, med in enumerate(medians)
+                if budget is None or distance_leq_budget(rep, med, inst.p, budget)]
+        if not arcs:
+            raise InfeasibleFlowError(
+                f"points at {rep.coords} lie farther than {budget} from every center")
+        group_arcs.append(arcs)
     for j in range(k):
         net.add_arc(1 + g + j, target, inst.s, 0)
     result = min_cost_flow(net, inst.n)
     assignment: dict[int, int] = {}
     for grp, arcs in zip(groups, group_arcs):
         members = iter(grp)  # sorted by id
-        for j, aid in enumerate(arcs, start=1):
+        for j, aid in arcs:  # in center order
             for _ in range(result.flows[aid]):
-                assignment[next(members).id] = j
+                assignment[next(members).id] = j + 1
     return Clustering(assignment, k), result.cost
 
 

@@ -154,6 +154,11 @@ class Instance:
     def by_id(self) -> dict[int, Point]:
         return {pt.id: pt for pt in self.points}
 
+    @cached_property
+    def groups(self) -> list[list[Point]]:
+        """`identical_groups(self.points)`, computed once; callers must not mutate it."""
+        return identical_groups(self.points)
+
     def ids(self) -> list[int]:
         return [pt.id for pt in self.points]
 
@@ -217,10 +222,11 @@ def _check_same_dim(a: Sequence, b: Sequence) -> None:
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
 
 
-def _center_distance(coords: Sequence[int], center: Sequence[float], p: int) -> CostValue:
+def _center_distance(coords: Sequence[int], center: Sequence[float], p: int) -> int | float:
+    # an int exactly when the distance is exact (p = 0, or p = 1 at an integral center)
     _check_same_dim(coords, center)
     if p == 0:
-        return CostValue.of_int(sum(1 for a, c in zip(coords, center) if a != c))
+        return sum(1 for a, c in zip(coords, center) if a != c)
     if p == 1:
         total = 0
         integral = True
@@ -228,22 +234,27 @@ def _center_distance(coords: Sequence[int], center: Sequence[float], p: int) -> 
             total += abs(a - c)
             integral = integral and (isinstance(c, int) or float(c).is_integer())
         if integral:
-            return CostValue.of_int(int(round(total)))
-        return CostValue.of_float(total)
+            return int(round(total))
+        return total
     acc = sum(abs(a - c) ** p for a, c in zip(coords, center))
-    return CostValue.of_float(acc ** (1.0 / p))
+    return acc ** (1.0 / p)
+
+
+def _cost_value(v: int | float) -> CostValue:
+    return CostValue.of_int(v) if type(v) is int else CostValue.of_float(v)
 
 
 def lp_distance(x: Point, y: Point, p: int) -> CostValue:
     """l_p distance between two points; exact integer for p in {0, 1}."""
-    return _center_distance(x.coords, y.coords, p)
+    return _cost_value(_center_distance(x.coords, y.coords, p))
 
 
-def distance_leq_budget(x: Point, y: Point, p: int, B: int) -> bool:
+def distance_leq_budget(x: Point, y: Point | Median, p: int, B: int) -> bool:
     """Decide ||x - y||_p <= B in exact integer arithmetic.
 
     Uses the Hamming count for p = 0 and the pth-power comparison
-    sum |dx|^p <= B^p for p >= 1, so no floating point is involved.
+    sum |dx|^p <= B^p for p >= 1, so no floating point is involved as long
+    as y is integral (a point or a data-point median).
     """
     _check_same_dim(x.coords, y.coords)
     if B < 0:
@@ -260,17 +271,21 @@ def distance_leq_budget(x: Point, y: Point, p: int, B: int) -> bool:
 
 
 def distance_to_center(pt: Point, center: Median, p: int) -> CostValue:
-    return _center_distance(pt.coords, center.coords, p)
+    return _cost_value(_center_distance(pt.coords, center.coords, p))
 
 
 def cluster_cost(points: Sequence[Point], center: Median, p: int) -> CostValue:
     """Sum of l_p distances from the members to the given center."""
     if not points:
         raise ValueError("cluster_cost on empty collection")
-    total = _center_distance(points[0].coords, center.coords, p)
-    for pt in points[1:]:
-        total = total + _center_distance(pt.coords, center.coords, p)
-    return total
+    dists = [_center_distance(pt.coords, center.coords, p) for pt in points]
+    if all(type(v) is int for v in dists):
+        return CostValue.of_int(sum(dists))
+    # plain left-to-right float sum, not sum(), whose rounding may differ
+    total = float(dists[0])
+    for v in dists[1:]:
+        total += v
+    return CostValue.of_float(total)
 
 
 def _majority_median(points: Sequence[Point]) -> tuple[int, ...]:
@@ -403,7 +418,7 @@ def extract_full_blocks(inst: Instance) -> tuple[list[tuple[Point, ...]], Instan
     s = inst.s
     blocks: list[tuple[Point, ...]] = []
     removed: set[int] = set()
-    for copies in identical_groups(inst.points):
+    for copies in inst.groups:
         for b in range(len(copies) // s):
             block = tuple(copies[b * s:(b + 1) * s])
             blocks.append(block)

@@ -8,7 +8,7 @@ optimal equal assignment.
 
 from __future__ import annotations
 
-from .assign import assign_to_medians
+from .assign import InfeasibleFlowError, assign_to_medians
 from .core import (
     Clustering,
     CostValue,
@@ -16,7 +16,6 @@ from .core import (
     Median,
     exact_zero,
     extract_full_blocks,
-    identical_groups,
 )
 
 
@@ -27,7 +26,10 @@ def solve_large(inst: Instance) -> tuple[Clustering, CostValue] | None:
     every maximal group of at least B + 1 identical survivors contributes one
     candidate center; unless the candidate count matches the remaining k the
     budget is unattainable; otherwise the optimal assignment to the candidates
-    settles it.
+    settles it. No point of a clustering of cost at most B lies farther than
+    B from its center, so the assignment keeps only the arcs within B: if a
+    group of points has no candidate within B, or the pruned flow cannot
+    place every point, Opt > B.
     """
     if inst.k == 0:
         raise ValueError("solver needs k >= 1")
@@ -38,11 +40,14 @@ def solve_large(inst: Instance) -> tuple[Clustering, CostValue] | None:
     if rest.n == 0:
         return Clustering.from_clusters(block_clusters), exact_zero(inst.p)
     candidates = [Median.from_point(grp[0])
-                  for grp in identical_groups(rest.points)
+                  for grp in rest.groups
                   if len(grp) >= inst.B + 1]
     if len(candidates) != rest.k:
         return None
-    assigned, cost = assign_to_medians(rest, candidates)
+    try:
+        assigned, cost = assign_to_medians(rest, candidates, budget=inst.B)
+    except InfeasibleFlowError:
+        return None
     if not cost.leq(inst.B):
         return None
     t = len(block_clusters)

@@ -38,6 +38,18 @@ class _Tokens:
         except ValueError:
             raise FormatError(f"{self.what}: expected integer, got {tok!r}") from None
 
+    def ints(self, count: int) -> list[int]:
+        """The next `count` integers, converted in one pass."""
+        end = self.pos + count
+        try:
+            values = list(map(int, self.items[self.pos:end]))
+        except ValueError:
+            values = []
+        if len(values) != count:  # redo token by token for next_int's error message
+            return [self.next_int() for _ in range(count)]
+        self.pos = end
+        return values
+
     def expect(self, literal: str) -> None:
         tok = self.next()
         if tok != literal:
@@ -55,8 +67,9 @@ def parse_instance(text: str) -> Instance:
     p, d, n, k, B = (t.next_int() for _ in range(5))
     if d < 1 or n < 0:
         raise FormatError("instance: bad header dimensions")
-    rows = [[t.next_int() for _ in range(d)] for _ in range(n)]
+    body = t.ints(n * d)
     t.done()
+    rows = [body[i:i + d] for i in range(0, n * d, d)]
     return make_instance(rows, p=p, k=k, B=B)
 
 

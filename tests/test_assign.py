@@ -165,7 +165,7 @@ def test_grouped_assignment_matches_exhaustive_on_repeated_points(p):
         assert cost.exact == min_assignment_cost_exhaustive(inst, meds).exact
 
 
-def test_flow_has_one_supply_node_per_distinct_point(monkeypatch):
+def capture_networks(monkeypatch):
     nets = []
 
     def capture(net, volume):
@@ -173,10 +173,47 @@ def test_flow_has_one_supply_node_per_distinct_point(monkeypatch):
         return min_cost_flow(net, volume)
 
     monkeypatch.setattr(assign, "min_cost_flow", capture)
+    return nets
+
+
+def test_flow_has_one_supply_node_per_distinct_point(monkeypatch):
+    nets = capture_networks(monkeypatch)
     inst = make_instance([(0, 0), (5, 5), (0, 0), (5, 5), (0, 0), (1, 0)], p=1, k=2, B=0)
     _, cost = assign_to_medians(inst, medians((0, 0), (5, 5)))
     assert cost.exact == 9
     assert len(nets) == 1 and nets[0].num_nodes == 3 + 2 + 2
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_budget_keeps_only_arcs_within_budget(monkeypatch, p):
+    # centers 10 apart in every coordinate, each with up to two points moved
+    # by 1 in one coordinate: every group lies within B = 1 of exactly one
+    # center (Hamming distance d >= 2 > B from the others for p = 0)
+    nets = capture_networks(monkeypatch)
+    rng = random.Random(500 + p)
+    for _ in range(10):
+        k, d = rng.randint(1, 4), rng.randint(2, 3)
+        centers = [(10 * c,) * d for c in range(k)]
+        rows = []
+        for c in centers:
+            moves = rng.sample([(h, sign) for h in range(d) for sign in (1, -1)], rng.randint(0, 2))
+            rows += [c] * (5 - len(moves))
+            rows += [tuple(x + sign * (h == i) for i, x in enumerate(c)) for h, sign in moves]
+        inst = make_instance(rows, p=p, k=k, B=1)
+        g = len(set(rows))
+        _, pruned = assign_to_medians(inst, medians(*centers), budget=1)
+        _, dense = assign_to_medians(inst, medians(*centers))
+        assert len(nets[-2].arcs) == 2 * g + k
+        assert len(nets[-1].arcs) == g * k + g + k
+        assert pruned == dense
+
+
+def test_group_beyond_budget_of_every_center_is_infeasible(monkeypatch):
+    nets = capture_networks(monkeypatch)
+    inst = make_instance([(0,), (0,), (0,), (7,)], p=1, k=1, B=1)
+    with pytest.raises(InfeasibleFlowError):
+        assign_to_medians(inst, medians((0,)), budget=1)
+    assert nets == []  # decided before any flow runs
 
 
 def test_identical_points_fill_clusters_lowest_id_first():

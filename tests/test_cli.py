@@ -282,10 +282,15 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
     # a pth-power sum beyond float range (p = 400): one error line, exit 4
-    huge_f = write(tmp_path / "huge.ecl", "ECL 1\n400 1 10 1 1\n" + "0\n" * 9 + "10\n")
+    huge_f = write(tmp_path / "huge.ecl", "ECL 1\n400 1 41 1 10\n" + "0\n" * 40 + "10\n")
     assert main(["solve", huge_f]) == EXIT_INFEASIBLE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    # a point farther than B from every candidate is never priced: the exact
+    # budget check alone answers NO
+    far_f = write(tmp_path / "far.ecl", "ECL 1\n400 1 10 1 1\n" + "0\n" * 9 + "10\n")
+    assert main(["solve", far_f]) == EXIT_OK
+    assert capsys.readouterr().out == "NOBUDGET\n"
 
 
 @pytest.mark.parametrize("method", ["auto", "brute"])

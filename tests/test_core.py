@@ -125,6 +125,19 @@ def test_cluster_cost_four_fives_one_six():
     assert cluster_cost(members, Median((5,), "data-point"), 1).exact == 1
 
 
+def test_cluster_cost_sums_exactly_or_left_to_right():
+    big = 2 ** 60
+    members = pts((big,), (big + 1,), (0,))
+    assert cluster_cost(members, Median((0,), "data-point"), 1).exact == 2 * big + 1
+    members = pts((0, 0), (1, 1), (2, 3), (5, 1), (1, 7))
+    center = Median((1, 2), "data-point")
+    want = 0.0
+    for pt in members:
+        want += lp_distance(pt, Point(center.coords, -1), 2).value
+    cost = cluster_cost(members, center, 2)
+    assert cost.exact is None and cost.value == want
+
+
 def test_cluster_cost_non_integral_center_is_float():
     members = pts((0,), (1,))
     cost = cluster_cost(members, Median((0.5,), "iterative-approximate"), 1)

@@ -3,7 +3,15 @@ from collections import Counter
 
 import pytest
 
-from eqclus.core import clustering_cost, make_instance
+from eqclus.assign import assign_to_medians
+from eqclus.core import (
+    Median,
+    clustering_cost,
+    exact_zero,
+    extract_full_blocks,
+    identical_groups,
+    make_instance,
+)
 from eqclus.exact_large import solve_large
 from eqclus.generators import gen_random
 from eqclus.oracle import brute_force_opt
@@ -29,6 +37,22 @@ def test_hand_trace_yes_instance():
 
 def test_hand_trace_no_instance_three_candidates():
     inst = make_instance([(0,)] * 5 + [(5,)] * 2 + [(9,)] * 2 + [(17,)], p=1, k=2, B=1)
+    assert solve_large(inst) is None
+    _, opt = brute_force_opt(inst)
+    assert opt.exact > 1
+
+
+def test_hand_trace_no_instance_point_beyond_budget_of_every_candidate():
+    # the block of zeros is removed; the lone 3 is 7 away from the only candidate 10
+    inst = make_instance([(0,)] * 5 + [(10,)] * 4 + [(3,)], p=1, k=2, B=1)
+    assert solve_large(inst) is None
+    _, opt = brute_force_opt(inst)
+    assert opt.exact > 1
+
+
+def test_hand_trace_no_instance_pruned_flow_infeasible():
+    # both 1 and -1 lie within B only of the candidate 0, which can take one of them
+    inst = make_instance([(0,)] * 4 + [(1,), (-1,)] + [(10,)] * 4, p=1, k=2, B=1)
     assert solve_large(inst) is None
     _, opt = brute_force_opt(inst)
     assert opt.exact > 1
@@ -101,3 +125,53 @@ def test_solution_clusters_have_large_identical_cores():
             counts = Counter(inst.by_id[i].coords for i in members)
             assert max(counts.values()) >= need
     assert seen
+
+
+def dense_solve(inst):
+    """solve_large's answer from the dense assignment: every point may go to every candidate."""
+    blocks, rest = extract_full_blocks(inst)
+    if rest.n == 0:
+        return exact_zero(inst.p)
+    candidates = [Median.from_point(grp[0]) for grp in identical_groups(rest.points)
+                  if len(grp) >= inst.B + 1]
+    if len(candidates) != rest.k:
+        return None
+    _, cost = assign_to_medians(rest, candidates)
+    return cost if cost.leq(inst.B) else None
+
+
+def planted_near(rng, p):
+    # k centers 2 apart, each repeated enough to be a candidate, plus points
+    # moved by up to B + 1 per coordinate: they lie within B of several
+    # candidates (ties) or of none
+    B = rng.randint(1, 2)
+    k, d = rng.randint(1, 4), rng.randint(1, 2)
+    s = 4 * B + 1 + rng.randint(0, 2)
+    rows = []
+    for c in range(k):
+        center = tuple(2 * c + rng.randint(0, 1) for _ in range(d))
+        moved = rng.randint(0, B + 1)
+        rows += [center] * (s - moved)
+        rows += [tuple(x + rng.randint(-B - 1, B + 1) for x in center) for _ in range(moved)]
+    rng.shuffle(rows)
+    return make_instance(rows, p=p, k=k, B=B)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_pruned_assignment_matches_dense(p):
+    rng = random.Random(7000 + p)
+    verdicts = Counter()
+    for _ in range(150):
+        inst = planted_near(rng, p)
+        got = solve_large(inst)
+        want = dense_solve(inst)
+        verdicts[got is None] += 1
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        got[0].validate_equal(inst)
+        if p <= 1:
+            assert got[1].exact == want.exact
+        else:
+            assert got[1].value == pytest.approx(want.value)
+    assert verdicts[True] >= 20 and verdicts[False] >= 20

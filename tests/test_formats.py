@@ -48,6 +48,21 @@ def test_instance_rejects_non_integers():
         parse_instance("ECL 1\n1 1 1 1 0\nx\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ECL 1\n1 2 2 1 0\n0 0\nx 1\n", "instance: expected integer, got 'x'"),
+    ("ECL 1\n1 2 2 1 0\n0 0\n1 y\n", "instance: expected integer, got 'y'"),
+    # a bad token before the cut is reported, not the missing tail
+    ("ECL 1\n1 2 3 1 0\n0 0\n1.5\n", "instance: expected integer, got '1.5'"),
+    ("ECL 1\n1 2 2 1 0\n0 0\n1\n", "instance: unexpected end of input"),
+    ("ECL 1\n1 2 2 1 0\n", "instance: unexpected end of input"),
+    ("ECL 1\n1 2 2 1 0\n0 0\n1 1\n7 z\n", "instance: trailing data from token '7'"),
+])
+def test_instance_body_error_messages(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_instance(text)
+    assert str(exc.value) == message
+
+
 def test_instance_indivisible_k_is_not_a_format_error():
     with pytest.raises(InvalidInstanceError):
         parse_instance("ECL 1\n1 1 3 2 0\n0\n1\n2\n")
