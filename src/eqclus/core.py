@@ -237,7 +237,11 @@ def _center_distance(coords: Sequence[int], center: Sequence[float], p: int) -> 
             return int(round(total))
         return total
     acc = sum(abs(a - c) ** p for a, c in zip(coords, center))
-    return acc ** (1.0 / p)
+    try:
+        return acc ** (1.0 / p)
+    except OverflowError:  # the power sum is beyond float range: scale by the largest gap
+        m = max(abs(a - c) for a, c in zip(coords, center))
+        return m * sum((abs(a - c) / m) ** p for a, c in zip(coords, center)) ** (1.0 / p)
 
 
 def _cost_value(v: int | float) -> CostValue:

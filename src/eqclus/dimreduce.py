@@ -22,7 +22,37 @@ exactly. Either way the output dimension stays within k*beta(p,B)*(2B+1) + 1.
 
 from __future__ import annotations
 
-from .core import Instance, Point, distance_leq_budget, identical_groups
+from .core import Instance, Point, distance_leq_budget
+
+
+def _neighbour_keys(vectors: list[tuple[int, ...]], p: int, B: int):
+    """Bucket keys for finding every vector within distance B of another.
+
+    Returns `filed, probed`: functions from a vector to the keys of the
+    buckets it is filed under, and to the keys of the buckets to search for
+    its budget neighbours. Any two vectors within distance B are such that
+    one is filed under a key the other probes.
+
+    p >= 1: within distance B every coordinate differs by at most B, so on
+    one coordinate h the cells x_h // (B + 1) differ by at most one; h is the
+    coordinate with the most cells (lowest index on ties). p = 0: with the
+    coordinates cut into min(B, d) + 1 contiguous blocks, at most B
+    differing coordinates leave some block equal in full (pigeonhole), so
+    vectors are keyed by (block, values on that block). An empty block,
+    which exists only when B >= d, keys every vector alike.
+    """
+    d = len(vectors[0])
+    if p == 0:
+        m = min(B, d) + 1
+        cuts = [j * d // m for j in range(m + 1)]
+
+        def blocks(v):
+            return [(j, v[cuts[j]:cuts[j + 1]]) for j in range(m)]
+
+        return blocks, blocks
+    w = B + 1
+    h = max(range(d), key=lambda h: len({v[h] // w for v in vectors}))
+    return (lambda v: (v[h] // w,)), (lambda v: (v[h] // w - 1, v[h] // w, v[h] // w + 1))
 
 
 def greedy_partition(inst: Instance) -> list[list[int]]:
@@ -33,20 +63,50 @@ def greedy_partition(inst: Instance) -> list[list[int]]:
     parts are therefore at distance > B. Identical points are at distance
     0 <= B, so the closure runs over distinct coordinate vectors, each
     represented by its lowest id, and parts expand back to sorted ids.
+
+    A member is checked only against the unassigned vectors of the buckets
+    its neighbour keys name (`_neighbour_keys`), which hold every vector
+    within distance B of it, so the parts are those of an all-pairs scan.
+    Members join in the order that scan gives them, and no pair is checked
+    twice, so the checks made are a subset of the all-pairs scan's.
     """
-    groups = sorted(identical_groups(inst.points), key=lambda grp: grp[0].id)
-    unassigned = list(range(len(groups)))
+    groups = sorted(inst.groups, key=lambda grp: grp[0].id)
+    if not groups:
+        return []
+    reps = [grp[0] for grp in groups]
+    filed, probed = _neighbour_keys([pt.coords for pt in reps], inst.p, inst.B)
+    buckets: dict = {}
+    for a, rep in enumerate(reps):
+        for key in filed(rep.coords):
+            buckets.setdefault(key, []).append(a)
+    assigned = [False] * len(reps)
+    checked_by = [-1] * len(reps)  # the member that last checked each vector
     parts: list[list[int]] = []
-    while unassigned:
-        members = [unassigned.pop(0)]
-        for a in members:  # grows while scanned: each member checks the rest once
-            rest = []
-            for b in unassigned:
-                if distance_leq_budget(groups[a][0], groups[b][0], inst.p, inst.B):
-                    members.append(b)
-                else:
+    for seed in range(len(reps)):
+        if assigned[seed]:
+            continue
+        assigned[seed] = True
+        members = [seed]
+        for a in members:  # grows while scanned
+            near = []
+            for key in probed(reps[a].coords):
+                bucket = buckets.get(key)
+                if not bucket:
+                    continue
+                rest = []  # the bucket without its assigned vectors
+                for b in bucket:
+                    if assigned[b]:
+                        continue
+                    if checked_by[b] != a:
+                        checked_by[b] = a
+                        if distance_leq_budget(reps[a], reps[b], inst.p, inst.B):
+                            assigned[b] = True
+                            near.append(b)
+                            continue
                     rest.append(b)
-            unassigned = rest
+                buckets[key] = rest
+            near.sort()
+            members.extend(near)
         parts.append(sorted(pt.id for a in members for pt in groups[a]))
     return parts
 

@@ -177,8 +177,7 @@ def save_context(ctx: LiftContext, fp: IO[str]) -> None:
                     "assignment": {str(i): c for i, c in ctx.solved.assignment.items()}}
                    if ctx.solved is not None else None),
     }
-    json.dump(doc, fp, indent=1)
-    fp.write("\n")
+    fp.write(json.dumps(doc) + "\n")
 
 
 # JSON type of every field save_context writes, per object

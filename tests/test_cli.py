@@ -281,9 +281,15 @@ def test_exit_codes(tmp_path, capsys):
         assert main(argv) == EXIT_FORMAT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-    # a pth-power sum beyond float range (p = 400): one error line, exit 4
+    # a pth-power sum beyond float range (p = 400) whose root is not: the
+    # distance is rescaled by the largest gap
     huge_f = write(tmp_path / "huge.ecl", "ECL 1\n400 1 41 1 10\n" + "0\n" * 40 + "10\n")
-    assert main(["solve", huge_f]) == EXIT_INFEASIBLE
+    assert main(["solve", huge_f]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "cost 10.0"
+    # a distance beyond float range itself: one error line, exit 4
+    beyond_f = write(tmp_path / "beyond.ecl", f"ECL 1\n2 1 2 1 0\n0\n{10 ** 400}\n")
+    one_f = write(tmp_path / "one.asg", "ASSIGN 1 2 1\n1\n1\n")
+    assert main(["eval", beyond_f, one_f]) == EXIT_INFEASIBLE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     # a point farther than B from every candidate is never priced: the exact

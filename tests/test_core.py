@@ -57,6 +57,15 @@ def test_l2_distance_has_no_exact_integer():
     assert d.value == pytest.approx(5.0)
 
 
+def test_high_norm_distance_beyond_float_power_sum():
+    # 10**400 + 3**400 is beyond float range; the distance itself is not
+    a, b = pts((0, 0), (10, 3))
+    assert lp_distance(a, b, 400).value == pytest.approx(10.0)
+    # a distance beyond float range still raises
+    with pytest.raises(OverflowError):
+        lp_distance(Point((10 ** 400,), 0), Point((0,), 1), 2)
+
+
 def test_distance_dimension_mismatch():
     a = Point((0, 0), 0)
     b = Point((0,), 1)

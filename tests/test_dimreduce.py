@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from eqclus import dimreduce
 from eqclus.core import Clustering, clustering_cost, distance_leq_budget, make_instance
 from eqclus.dimreduce import coordinate_budget_exponent, greedy_partition, reduce_dimension
 from eqclus.generators import gen_random
@@ -42,16 +43,57 @@ def _per_point_partition(inst):
     return parts
 
 
-def test_partition_matches_per_point_closure():
+def _record_checks(monkeypatch):
+    # the id pairs greedy_partition checks through dimreduce's budget test
+    checked = []
+    real = dimreduce.distance_leq_budget
+
+    def recording(x, y, p, B):
+        checked.append(frozenset((x.id, y.id)))
+        return real(x, y, p, B)
+
+    monkeypatch.setattr(dimreduce, "distance_leq_budget", recording)
+    return checked
+
+
+def test_partition_matches_per_point_closure(monkeypatch):
+    checked = _record_checks(monkeypatch)
     rng = random.Random(23)
-    for _ in range(300):
-        n = rng.randint(1, 16)
-        bound = rng.randint(0, 4)
-        d = rng.randint(1, 3)
-        rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
-        inst = make_instance(rows, p=rng.choice([0, 1, 2]), k=1, B=rng.randint(0, 3),
-                             ids=rng.sample(range(50), n))
-        assert greedy_partition(inst) == _per_point_partition(inst)
+    for p, B in itertools.product([0, 1, 2, 3], range(5)):  # B >= d occurs for every d below
+        for _ in range(80):
+            n = rng.randint(1, 16)
+            d = rng.randint(1, 4)
+            bound = rng.randint(0, 6)
+            rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
+            if rng.random() < 0.1:  # a single distinct vector
+                rows = [rows[0]] * n
+            inst = make_instance(rows, p=p, k=1, B=B, ids=rng.sample(range(50), n))
+            checked.clear()
+            assert greedy_partition(inst) == _per_point_partition(inst)
+            assert len(checked) == len(set(checked))  # no pair checked twice
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_partition_checks_grow_linearly_on_separated_clusters(p, monkeypatch):
+    # generic-shaped: 1200 centers 10 apart in every coordinate, each with
+    # 6 copies, except two clusters that trade a copy for a point moved by 1;
+    # the all-pairs closure makes about g^2/2 = 720 000 checks here
+    k, s, d, B = 1200, 6, 4, 2
+    rng = random.Random(8)
+    perms = [rng.sample(range(k), k) for _ in range(d)]
+    rows = []
+    for i in range(k):
+        center = [10 * perms[h][i] for h in range(d)]
+        rows.extend([center] * (s - (i < 2)))
+        if i < 2:
+            rows.append([c + (h == i) for h, c in enumerate(center)])
+    rng.shuffle(rows)
+    inst = make_instance(rows, p=p, k=k, B=B)
+    checked = _record_checks(monkeypatch)
+    parts = greedy_partition(inst)
+    g = len({tuple(row) for row in rows})
+    assert g == k + 2 and len(parts) == k
+    assert 0 < len(checked) <= 10 * g
 
 
 def test_reduce_hand_trace():

@@ -243,6 +243,7 @@ def test_context_round_trip_through_text():
         kern, ctx = lossy_kernelize(inst)
         buf = io.StringIO()
         save_context(ctx, buf)
+        assert buf.getvalue().count("\n") == 1 and buf.getvalue().endswith("\n")
         loaded = load_context(io.StringIO(buf.getvalue()))
         assert loaded == ctx
         # lifting through the reloaded context gives the same clustering
