@@ -15,6 +15,7 @@ import errno
 import io
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import formats, generators, kernel, oracle
@@ -221,7 +222,14 @@ def _verify_cases(count: int, seed: int) -> list[tuple]:
     return cases
 
 
-def _run_verify_case(case: tuple) -> tuple[str, list[str]]:
+def _run_verify_case(case: tuple) -> tuple[str, list[str], float]:
+    """(description, violations, wall seconds) of one verification case."""
+    start = time.perf_counter()
+    desc, violations = _check_verify_case(case)
+    return desc, violations, time.perf_counter() - start
+
+
+def _check_verify_case(case: tuple) -> tuple[str, list[str]]:
     suite, n, k, bound, B, p, s = case
     desc = f"{suite}(n={n},k={k},B={B},p={p},seed={s})"
     inst = generators.gen_random(n=n, k=k, d=2, coord_bound=bound, p=p, B=B, seed=s)
@@ -264,10 +272,14 @@ def _cmd_verify(args) -> int:
             results = list(pool.map(_run_verify_case, cases))
     else:
         results = [_run_verify_case(c) for c in cases]
-    per_suite = collections.Counter(desc.split("(")[0] for desc, _ in results)
-    for suite, cnt in sorted(per_suite.items()):
-        _log(f"verify: suite {suite}: {cnt} instances")
-    failures = [(desc, violations) for desc, violations in results if violations]
+    per_suite = collections.defaultdict(list)
+    for desc, _, seconds in results:
+        per_suite[desc.split("(")[0]].append((seconds, desc))
+    for suite, timings in sorted(per_suite.items()):
+        slowest, slowest_desc = max(timings)
+        _log(f"verify: suite {suite}: {len(timings)} instances, "
+             f"{sum(sec for sec, _ in timings):.2f} s, slowest {slowest_desc} {slowest:.2f} s")
+    failures = [(desc, violations) for desc, violations, _ in results if violations]
     lines = [f"VIOLATION {desc}: {v}" for desc, violations in failures for v in violations]
     if failures:
         lines.append(f"verify: {len(failures)} of {len(cases)} checks failed")

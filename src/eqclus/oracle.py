@@ -43,9 +43,9 @@ def partition_count(n: int, k: int) -> int:
 
 
 def _check_guard(n: int, k: int) -> None:
-    if partition_count(n, k) > ENUMERATION_GUARD:
-        raise GuardExceededError(
-            f"{partition_count(n, k)} equal partitions exceed guard {ENUMERATION_GUARD}")
+    count = partition_count(n, k)
+    if count > ENUMERATION_GUARD:
+        raise GuardExceededError(f"{count} equal partitions exceed guard {ENUMERATION_GUARD}")
 
 
 def _canonical_partitions(items: tuple, k: int) -> Iterator[tuple[tuple, ...]]:
@@ -96,6 +96,13 @@ def best_equal_partition(coords, k: int, p: int) -> tuple[int, list[int]]:
     the lowest unplaced position, the other members taken in combinations
     order), a branch is cut once its running cost reaches the incumbent, and
     the first optimum in enumeration order wins.
+
+    Each first-level cluster holds position 0 and is visited once, so it is
+    priced directly. For k >= 3 the clusters below it recur across branches
+    and are priced once into a table local to the call, which holds at most
+    C(n-1, s) entries; for k = 2 each cluster and its complement occur once,
+    so no table is kept. The last cluster is forced and priced without a
+    further search level.
     """
     s = len(coords) // k
     if s == 1:  # singletons cost 0; the search would recurse once per point
@@ -103,17 +110,30 @@ def best_equal_partition(coords, k: int, p: int) -> tuple[int, list[int]]:
     assign = [0] * len(coords)
     best_cost: int | None = None
     best_assign: list[int] = []
+    prices: dict[tuple[int, ...], int] | None = {} if k >= 3 else None
+
+    def price(members: tuple[int, ...], idx: int) -> int:
+        if idx == 0 or prices is None:
+            return _cluster_cost(coords, members, p)
+        cost = prices.get(members)
+        if cost is None:
+            cost = prices[members] = _cluster_cost(coords, members, p)
+        return cost
 
     def search(remaining: tuple[int, ...], idx: int, total: int) -> None:
         nonlocal best_cost, best_assign
-        if not remaining:
-            # every leaf reached beats the incumbent: worse branches were cut
-            best_cost, best_assign = total, assign.copy()
+        if len(remaining) == s:
+            # the last cluster is forced; a tie keeps the earlier optimum
+            new_total = total + price(remaining, idx)
+            if best_cost is None or new_total < best_cost:
+                for i in remaining:
+                    assign[i] = idx
+                best_cost, best_assign = new_total, assign.copy()
             return
         anchor, rest = remaining[0], remaining[1:]
         for combo in itertools.combinations(rest, s - 1):
             members = (anchor,) + combo
-            new_total = total + _cluster_cost(coords, members, p)
+            new_total = total + price(members, idx)
             if best_cost is not None and new_total >= best_cost:
                 continue
             for i in members:
@@ -273,7 +293,7 @@ def check_structure(inst: Instance, clustering: Clustering) -> StructureReport:
             if biggest < need:
                 report.violations.append(
                     f"cluster {idx} has only {biggest} identical points, needs {need}")
-    for group in identical_groups(inst.points):
+    for group in inst.groups:
         if len(group) < s:
             continue
         block = group[:s]

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -337,15 +338,33 @@ def test_lift_rejects_malformed_context(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: lift context:")
 
 
+SUITE_LINE = re.compile(r"verify: suite (\S+): (\d+) instances, (\d+\.\d\d) s, "
+                        r"slowest (\S+)\(n=\d+,k=\d+,B=\d+,p=[01],seed=\d+\) (\d+\.\d\d) s")
+
+
+def assert_suite_timings(err: str, per_suite: int) -> None:
+    # one stderr line per suite: instance count, total wall time, slowest case
+    matches = [SUITE_LINE.fullmatch(line) for line in err.splitlines()]
+    assert all(matches), err
+    assert [m[1] for m in matches] == ["exact-kernel", "large", "ratio", "structure"]
+    for m in matches:
+        assert int(m[2]) == per_suite
+        assert m[4] == m[1]
+        assert float(m[5]) <= float(m[3])
+
+
 def test_verify_passes_and_reports(capsys):
     assert main(["verify", "--count", "2", "--seed", "11"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "all 8 checks passed" in out
+    captured = capsys.readouterr()
+    assert captured.out == "verify: all 8 checks passed\n"
+    assert_suite_timings(captured.err, 2)
 
 
 def test_verify_parallel_jobs(capsys):
     assert main(["verify", "--count", "2", "--seed", "12", "--jobs", "2"]) == EXIT_OK
-    assert "checks passed" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "checks passed" in captured.out
+    assert_suite_timings(captured.err, 2)
 
 
 def test_console_entry_point_round_trip(tmp_path):

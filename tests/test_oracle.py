@@ -1,7 +1,10 @@
+import math
 import random
+import tracemalloc
 
 import pytest
 
+from eqclus import oracle
 from eqclus.core import Clustering, clustering_cost, make_instance, optimum_median
 from eqclus.exact_large import solve_large
 from eqclus.generators import gen_random
@@ -103,24 +106,85 @@ def test_brute_force_never_beaten_by_pipeline():
 # ---------------------------------------------------------------------------
 # exhaustive search against enumeration and the median routine
 
+def first_minimum_cases(rng):
+    small = [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2), (10, 5)]
+    for _ in range(30):
+        yield rng.choice(small), 4
+    # values in [-1, 1] make ties and duplicate points common, where the
+    # price table and the forced last cluster could pick a later optimum
+    for _ in range(10):
+        yield rng.choice(small), 1
+    yield from [((12, 3), 4), ((12, 3), 1), ((12, 4), 4), ((12, 4), 1)]
+
+
+def first_minimum_of_enumeration(inst):
+    # each part priced once at its optimum median, as clustering_cost prices it
+    prices = {}
+    first_min = None
+    for parts in enumerate_equal_partitions(inst.n, inst.k):
+        cost = 0
+        for part in parts:
+            if part not in prices:
+                # enumeration ids are 1..n, instance ids 0..n-1
+                pts = [inst.by_id[i - 1] for i in part]
+                prices[part] = optimum_median(pts, inst.p)[1].exact
+            cost += prices[part]
+        if first_min is None or cost < first_min[0]:
+            candidate = Clustering.from_clusters([[i - 1 for i in part] for part in parts])
+            first_min = (cost, candidate)
+    assert clustering_cost(inst, first_min[1]).exact == first_min[0]
+    return first_min
+
+
 @pytest.mark.parametrize("p", [0, 1])
 def test_brute_force_returns_first_minimum_of_enumeration(p):
     rng = random.Random(4000 + p)
-    for _ in range(30):
-        n, k = rng.choice([(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2), (10, 5)])
+    for (n, k), b in first_minimum_cases(rng):
         d = rng.randint(1, 3)
-        inst = make_instance([[rng.randint(-4, 4) for _ in range(d)] for _ in range(n)],
+        inst = make_instance([[rng.randint(-b, b) for _ in range(d)] for _ in range(n)],
                              p=p, k=k, B=0)
-        first_min = None
-        for parts in enumerate_equal_partitions(n, k):
-            # enumeration ids are 1..n, instance ids 0..n-1
-            candidate = Clustering.from_clusters([[i - 1 for i in part] for part in parts])
-            cost = clustering_cost(inst, candidate).exact
-            if first_min is None or cost < first_min[0]:
-                first_min = (cost, candidate)
+        first_min = first_minimum_of_enumeration(inst)
         clustering, cost = brute_force_opt(inst)
         assert cost.exact == first_min[0]
         assert canonical_clusters(clustering) == canonical_clusters(first_min[1])
+
+
+def test_engine_prices_each_cluster_once(monkeypatch):
+    calls = []
+    price = oracle._cluster_cost
+
+    def counting(coords, members, p):
+        calls.append(members)
+        return price(coords, members, p)
+
+    monkeypatch.setattr(oracle, "_cluster_cost", counting)
+    rng = random.Random(90)
+    coords = [tuple(rng.randint(-10, 10) for _ in range(2)) for _ in range(12)]
+    for p in (0, 1):
+        calls.clear()
+        best_equal_partition(coords, 3, p)
+        # C(11, 3) first-level clusters hold point 0, C(11, 4) clusters do not
+        assert len(calls) <= math.comb(11, 3) + math.comb(11, 4) == 495
+
+
+def test_engine_keeps_no_price_table_for_two_clusters():
+    rng = random.Random(91)
+    coords = [tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(16)]
+    inst = make_instance(coords, p=1, k=2, B=0)
+    first_min = first_minimum_of_enumeration(inst)
+    cost, assignment = best_equal_partition(coords, 2, 1)
+    assert cost == first_min[0]
+    assert canonical_clusters(Clustering({i: c + 1 for i, c in enumerate(assignment)}, 2)) \
+        == canonical_clusters(first_min[1])
+    # the call above warmed the interpreter's per-code caches; a table of the
+    # C(15, 8) = 6435 clusters below the first level would take far more
+    tracemalloc.start()
+    try:
+        assert best_equal_partition(coords, 2, 1) == (cost, assignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_brute_force_exact_on_huge_coordinates():
