@@ -23,7 +23,7 @@ from .core import (
     Median,
     Point,
     distance_leq_budget,
-    distance_to_center,
+    lp_distance,
 )
 
 
@@ -202,5 +202,5 @@ def assign_to_medians(inst: Instance, medians: Sequence[Median],
 
 
 def _arc_cost(pt: Point, med: Median, p: int) -> int | float:
-    cv = distance_to_center(pt, med, p)
+    cv = lp_distance(pt, med, p)
     return cv.exact if cv.exact is not None else cv.value

@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Sequence
 
 from . import formats, generators, kernel, oracle
 from .assign import assign_to_medians
@@ -93,10 +94,10 @@ def _cost_repr(cv: CostValue) -> str:
     return str(cv.exact) if cv.exact is not None else repr(cv.value)
 
 
-def _clustering_text(c: Clustering, inst: Instance) -> str:
-    # clustering files are positional: line i describes the i-th instance point
+def _clustering_text(c: Clustering, ids: Sequence[int]) -> str:
+    # clustering files are positional: line i describes the point with id ids[i]
     return formats.format_clustering(
-        Clustering({pos: c.assignment[pt.id] for pos, pt in enumerate(inst.points)}, c.k))
+        Clustering({pos: c.assignment[pid] for pos, pid in enumerate(ids)}, c.k))
 
 
 def _clustering_from_file(text: str, inst: Instance) -> Clustering:
@@ -125,7 +126,7 @@ def _cmd_gen(args) -> int:
                                      B=args.B, seed=args.seed)
     outputs = [(args.out, formats.format_instance(inst))]
     if args.planted and args.planted_out:
-        outputs.append((args.planted_out, _clustering_text(planted, inst)))
+        outputs.append((args.planted_out, _clustering_text(planted, inst.ids())))
     _emit(outputs)
     return EXIT_OK
 
@@ -136,7 +137,7 @@ def _cmd_reduce(args) -> int:
     outputs = [(args.out, formats.format_instance(inst))]
     if args.matching:
         planted = args.plant(problem, formats.parse_matching(_read_text(args.matching)))
-        outputs.append((args.clustering_out, _clustering_text(planted, inst)))
+        outputs.append((args.clustering_out, _clustering_text(planted, inst.ids())))
     _emit(outputs)
     return EXIT_OK
 
@@ -161,7 +162,7 @@ def _cmd_lift(args) -> int:
     if args.input is not None:
         kernel_clustering = _clustering_from_file(_read_text(args.input), ctx.kernel)
     lifted = kernel.lift_solution(ctx, kernel_clustering)
-    _emit([(args.out, _clustering_text(lifted, ctx.original))])
+    _emit([(args.out, _clustering_text(lifted, ctx.ids))])
     return EXIT_OK
 
 
@@ -189,7 +190,7 @@ def _cmd_solve(args) -> int:
         clustering, cost = assign_to_medians(inst, medians)
     outputs = [(None, f"cost {_cost_repr(cost)}\n")]
     if args.out:
-        outputs.append((args.out, _clustering_text(clustering, inst)))
+        outputs.append((args.out, _clustering_text(clustering, inst.ids())))
     _emit(outputs)
     return EXIT_OK
 

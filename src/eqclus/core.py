@@ -80,11 +80,10 @@ class Median:
     """A cluster center. Coordinates are integral except for iterative medians."""
 
     coords: tuple[float, ...]
-    provenance: str  # "data-point" | "coordinatewise-exact" | "iterative-approximate"
 
     @classmethod
     def from_point(cls, pt: Point) -> "Median":
-        return cls(tuple(pt.coords), "data-point")
+        return cls(tuple(pt.coords))
 
 
 @dataclass(frozen=True)
@@ -248,8 +247,8 @@ def _cost_value(v: int | float) -> CostValue:
     return CostValue.of_int(v) if type(v) is int else CostValue.of_float(v)
 
 
-def lp_distance(x: Point, y: Point, p: int) -> CostValue:
-    """l_p distance between two points; exact integer for p in {0, 1}."""
+def lp_distance(x: Point, y: Point | Median, p: int) -> CostValue:
+    """l_p distance to a point or center; exact integer for p in {0, 1} at integral y."""
     return _cost_value(_center_distance(x.coords, y.coords, p))
 
 
@@ -272,10 +271,6 @@ def distance_leq_budget(x: Point, y: Point | Median, p: int, B: int) -> bool:
         if acc > bound:
             return False
     return True
-
-
-def distance_to_center(pt: Point, center: Median, p: int) -> CostValue:
-    return _cost_value(_center_distance(pt.coords, center.coords, p))
 
 
 def cluster_cost(points: Sequence[Point], center: Median, p: int) -> CostValue:
@@ -361,16 +356,16 @@ def optimum_median(points: Sequence[Point], p: int) -> tuple[Median, CostValue]:
     for pt in points[1:]:
         _check_same_dim(first, pt.coords)
     if all(pt.coords == first for pt in points):
-        med = Median(tuple(first), "data-point")
+        med = Median(tuple(first))
         return med, exact_zero(p)
     if p == 0:
-        med = Median(_majority_median(points), "coordinatewise-exact")
+        med = Median(_majority_median(points))
     elif p == 1:
-        med = Median(_lower_median(points), "coordinatewise-exact")
+        med = Median(_lower_median(points))
     elif p == 2:
-        med = Median(_weiszfeld(points), "iterative-approximate")
+        med = Median(_weiszfeld(points))
     else:
-        med = Median(_iterative_lp_median(points, p), "iterative-approximate")
+        med = Median(_iterative_lp_median(points, p))
     return med, cluster_cost(points, med, p)
 
 

@@ -50,9 +50,4 @@ def solve_large(inst: Instance) -> tuple[Clustering, CostValue] | None:
         return None
     if not cost.leq(inst.B):
         return None
-    t = len(block_clusters)
-    assignment = {pid: idx for idx, members in enumerate(block_clusters, start=1)
-                  for pid in members}
-    for pid, idx in assigned.assignment.items():
-        assignment[pid] = t + idx
-    return Clustering(assignment, inst.k), cost
+    return Clustering.from_clusters([*block_clusters, *assigned.clusters()]), cost

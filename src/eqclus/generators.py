@@ -17,6 +17,15 @@ from typing import Sequence
 
 from .core import Clustering, Instance, make_instance
 
+# most coordinates (points x dimension) a generator or reduction builds
+MAX_COORDINATES = 10**7
+
+
+def _check_size(points: int, dim: int) -> None:
+    if points * dim > MAX_COORDINATES:
+        raise ValueError(f"instance of {points} points in dimension {dim} exceeds "
+                         f"{MAX_COORDINATES} coordinates")
+
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -86,6 +95,7 @@ def gen_random(n: int, k: int, d: int, coord_bound: int, p: int, B: int,
         raise ValueError("need k >= 1 dividing n with n >= k")
     if d < 1 or coord_bound < 0:
         raise ValueError("need d >= 1 and coord_bound >= 0")
+    _check_size(n, d)
     rng = random.Random(seed)
     rows = [[rng.randint(-coord_bound, coord_bound) for _ in range(d)]
             for _ in range(n)]
@@ -103,6 +113,7 @@ def gen_planted(k: int, s: int, d: int, spread: int, noise: int, p: int,
         raise ValueError("infeasible parameters")
     if p == 0 and spread > d:
         raise ValueError(f"Hamming separation {spread} impossible in dimension {d}")
+    _check_size(k * s, d)
     rng = random.Random(seed)
     centers = []
     if p == 0:
@@ -155,6 +166,7 @@ def reduce_rsm(h: Hypergraph) -> Instance:
     r, n, m = h.r, h.num_vertices, len(h.edges)
     if n % r != 0:
         raise ValueError(f"vertex count {n} not divisible by r = {r}: no perfect matching")
+    _check_size((r - 1) * n + r * m, 2 * r * n)
     rows: list[tuple[int, ...]] = []
     for i in range(1, n + 1):
         rows.extend([_vertex_vector(i, r, n)] * (r - 1))
@@ -235,41 +247,24 @@ def reduce_3dm(t: TdmInstance) -> Instance:
     at distance 7 from triples containing it and 9 otherwise. Budget 7N so
     the decision aligns with the perfect-matching cost.
     """
+    N = t.num_elements
+    _check_size(2 * N + 3 * len(t.triples), 6 * N)
     element_cols, triple_cols = _tdm_columns(t)
     rows: list[tuple[int, ...]] = []
     for col in element_cols:
         rows.extend([col] * 2)
     for col in triple_cols:
         rows.extend([col] * 3)
-    N = t.num_elements
     k = 2 * N // 3 + len(t.triples)
     return make_instance(rows, p=0, k=k, B=7 * N)
 
 
 def planted_3dm_clustering(t: TdmInstance, matching: Sequence[int]) -> Clustering:
-    """Certificate clustering of cost exactly 7N for a perfect matching."""
-    N = t.num_elements
-    chosen = list(dict.fromkeys(matching))
-    if len(chosen) != len(matching):
-        raise ValueError("matching lists a triple twice")
-    covered: dict[int, int] = {}
-    for j in chosen:
-        if not 1 <= j <= len(t.triples):
-            raise ValueError(f"triple index {j} out of range")
-        for g in t._globals(t.triples[j - 1]):
-            if g in covered:
-                raise ValueError(f"element {g} covered twice; not a matching")
-            covered[g] = j
-    if len(covered) != N:
-        raise ValueError("matching is not perfect")
-    element_ids = {e: [2 * (e - 1), 2 * (e - 1) + 1] for e in range(1, N + 1)}
-    base = 2 * N
-    triple_ids = {j: list(range(base + 3 * (j - 1), base + 3 * j))
-                  for j in range(1, len(t.triples) + 1)}
-    free = {j: list(ids) for j, ids in triple_ids.items()}
-    clusters = []
-    for e in range(1, N + 1):
-        clusters.append(element_ids[e] + [free[covered[e]].pop(0)])
-    for j in sorted(set(range(1, len(t.triples) + 1)) - set(chosen)):
-        clusters.append(triple_ids[j])
-    return Clustering.from_clusters(clusters)
+    """Certificate clustering of cost exactly 7N for a perfect matching.
+
+    reduce_3dm numbers its points as reduce_rsm does for the 3-uniform
+    hypergraph on the 3n elements whose edges are the triples, so the
+    certificate is that hypergraph's.
+    """
+    h = Hypergraph(3, t.num_elements, tuple(t._globals(x) for x in t.triples))
+    return planted_rsm_clustering(h, matching)

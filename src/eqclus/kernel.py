@@ -5,9 +5,12 @@ outright and replaced by a constant-size stand-in; otherwise the instance is
 dimension-reduced exactly, full blocks of s identical points are greedily
 stripped into free clusters with the budget doubled to pay for the
 approximation, and the survivors are dimension-reduced once more so the
-kernel's size depends on the budget alone. Every branch records what the
-lifting step needs; lifting itself is purely index-based because both
-reductions and the block removal preserve point ids.
+kernel's size depends on the budget alone. Both reductions and the block
+removal keep point ids, so lifting is index work alone: a context carries the
+original's ids and k, the kernel, and on a YES branch the clusters fixed
+before the kernel (the removed blocks, or the large-regime optimum). A NO
+branch lifts to an arbitrary clustering; a YES branch lifts to the fixed
+clusters followed by the kernel's clusters.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ BRANCH_KPRIME_TOO_BIG = "kprime-too-big"
 BRANCH_GENERIC = "generic"
 
 CONTEXT_FORMAT = "ECLCTX"
-CONTEXT_VERSION = 1
+CONTEXT_VERSION = 2
+# branches whose lift puts fixed clusters (ctx.blocks) first; the others lift arbitrarily
+YES_BRANCHES = (BRANCH_LARGE_YES, BRANCH_EMPTY_AFTER_GREEDY, BRANCH_GENERIC)
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,10 @@ class LiftContext:
     """Everything needed to map a kernel clustering back to the original instance."""
 
     branch: str
-    original: Instance
+    ids: tuple[int, ...]  # the original's point ids, in input order
+    k: int                # the original's cluster count
     kernel: Instance
-    blocks: tuple[tuple[int, ...], ...] | None = None  # removed block ids, removal order
-    solved: Clustering | None = None                   # precomputed optimum (large-yes)
+    blocks: tuple[tuple[int, ...], ...] | None = None  # fixed clusters of a YES branch
 
 
 def trivial_no_instance(p: int) -> Instance:
@@ -59,10 +64,10 @@ def trivial_yes_instance(p: int) -> Instance:
     return make_instance([(0,)], p=p, k=1, B=0)
 
 
-def _arbitrary_clustering(inst: Instance) -> Clustering:
-    ids = sorted(inst.by_id)
-    s = inst.s
-    return Clustering.from_clusters([ids[i * s:(i + 1) * s] for i in range(inst.k)])
+def _arbitrary_clustering(ids: tuple[int, ...], k: int) -> Clustering:
+    ids = sorted(ids)
+    s = len(ids) // k
+    return Clustering.from_clusters([ids[i * s:(i + 1) * s] for i in range(k)])
 
 
 def lossy_kernelize(inst: Instance) -> tuple[Instance, LiftContext]:
@@ -74,64 +79,52 @@ def lossy_kernelize(inst: Instance) -> tuple[Instance, LiftContext]:
     clusters, and the doubled budget B' = 2B.
     """
     p = inst.p
+
+    def done(branch: str, kernel: Instance, blocks=None) -> tuple[Instance, LiftContext]:
+        return kernel, LiftContext(branch, tuple(inst.ids()), inst.k, kernel, blocks)
+
     if inst.s >= 4 * inst.B + 1:
         solved = solve_large(inst)
         if solved is None:
-            kernel = trivial_no_instance(p)
-            return kernel, LiftContext(BRANCH_LARGE_NO, inst, kernel)
-        clustering, _ = solved
-        kernel = trivial_yes_instance(p)
-        return kernel, LiftContext(BRANCH_LARGE_YES, inst, kernel, solved=clustering)
+            return done(BRANCH_LARGE_NO, trivial_no_instance(p))
+        clusters = tuple(tuple(c) for c in solved[0].clusters())
+        return done(BRANCH_LARGE_YES, trivial_yes_instance(p), clusters)
 
     reduced = reduce_dimension(inst)
     if reduced is None:
-        kernel = trivial_no_instance(p)
-        return kernel, LiftContext(BRANCH_DIMREDUCE_NO, inst, kernel)
+        return done(BRANCH_DIMREDUCE_NO, trivial_no_instance(p))
 
     blocks, rest = extract_full_blocks(reduced)
     block_ids = tuple(tuple(pt.id for pt in blk) for blk in blocks)
     b_doubled = 2 * inst.B
     if rest.k > b_doubled:
-        kernel = trivial_no_instance(p)
-        return kernel, LiftContext(BRANCH_KPRIME_TOO_BIG, inst, kernel)
+        return done(BRANCH_KPRIME_TOO_BIG, trivial_no_instance(p))
     if rest.k == 0:
-        kernel = trivial_yes_instance(p)
-        return kernel, LiftContext(BRANCH_EMPTY_AFTER_GREEDY, inst, kernel, blocks=block_ids)
+        return done(BRANCH_EMPTY_AFTER_GREEDY, trivial_yes_instance(p), block_ids)
 
     rest = Instance(rest.points, p=p, k=rest.k, B=b_doubled, dim=rest.dim)
     kernel = reduce_dimension(rest)
     if kernel is None:
-        kernel = trivial_no_instance(p)
-        return kernel, LiftContext(BRANCH_DIMREDUCE_NO, inst, kernel)
-    return kernel, LiftContext(BRANCH_GENERIC, inst, kernel, blocks=block_ids)
+        return done(BRANCH_DIMREDUCE_NO, trivial_no_instance(p))
+    return done(BRANCH_GENERIC, kernel, block_ids)
 
 
 def lift_solution(ctx: LiftContext, kernel_clustering: Clustering | None) -> Clustering:
     """Map a kernel clustering back to an equal k-clustering of the original.
 
-    The kernel clustering is ignored on every branch that already settled the
-    instance; on the generic branch its cluster indices transfer directly to
-    the surviving original ids and the removed blocks are prepended as free
-    clusters.
+    A NO branch lifts to an arbitrary clustering. A YES branch lifts to its
+    fixed clusters, followed on the generic branch by the kernel clustering's
+    clusters in index order; every other branch ignores the kernel clustering.
     """
-    if ctx.branch == BRANCH_LARGE_YES:
-        assert ctx.solved is not None
-        return ctx.solved
-    if ctx.branch in (BRANCH_LARGE_NO, BRANCH_DIMREDUCE_NO, BRANCH_KPRIME_TOO_BIG):
-        return _arbitrary_clustering(ctx.original)
-    if ctx.branch == BRANCH_EMPTY_AFTER_GREEDY:
-        assert ctx.blocks is not None
-        return Clustering.from_clusters(ctx.blocks)
-    assert ctx.branch == BRANCH_GENERIC and ctx.blocks is not None
-    if kernel_clustering is None:
-        raise InvalidClusteringError("generic branch needs a kernel clustering")
-    kernel_clustering.validate_equal(ctx.kernel)
-    t = len(ctx.blocks)
-    assignment = {pid: idx for idx, members in enumerate(ctx.blocks, start=1)
-                  for pid in members}
-    for pid, idx in kernel_clustering.assignment.items():
-        assignment[pid] = t + idx
-    return Clustering(assignment, ctx.original.k)
+    if ctx.branch not in YES_BRANCHES:
+        return _arbitrary_clustering(ctx.ids, ctx.k)
+    rest: list[list[int]] = []
+    if ctx.branch == BRANCH_GENERIC:
+        if kernel_clustering is None:
+            raise InvalidClusteringError("generic branch needs a kernel clustering")
+        kernel_clustering.validate_equal(ctx.kernel)
+        rest = kernel_clustering.clusters()
+    return Clustering.from_clusters([*ctx.blocks, *rest])
 
 
 def exact_kernelize(inst: Instance) -> Instance:
@@ -170,27 +163,17 @@ def save_context(ctx: LiftContext, fp: IO[str]) -> None:
         "format": CONTEXT_FORMAT,
         "version": CONTEXT_VERSION,
         "branch": ctx.branch,
-        "original": _instance_to_dict(ctx.original),
+        "original": {"k": ctx.k, "ids": list(ctx.ids)},
         "kernel": _instance_to_dict(ctx.kernel),
         "blocks": [list(b) for b in ctx.blocks] if ctx.blocks is not None else None,
-        "solved": ({"k": ctx.solved.k,
-                    "assignment": {str(i): c for i, c in ctx.solved.assignment.items()}}
-                   if ctx.solved is not None else None),
     }
     fp.write(json.dumps(doc) + "\n")
 
 
-# JSON type of every field save_context writes, per object
-_OPTIONAL_LIST = (list, type(None))
-_OPTIONAL_DICT = (dict, type(None))
-_CONTEXT_FIELDS = {"branch": str, "original": dict, "kernel": dict, "blocks": _OPTIONAL_LIST,
-                   "solved": _OPTIONAL_DICT}
+# JSON type of every field load_context reads, per object
+_CONTEXT_FIELDS = {"branch": str, "original": dict, "kernel": dict, "blocks": (list, type(None))}
 _INSTANCE_FIELDS = {"p": int, "k": int, "B": int, "dim": int, "ids": list, "coords": list}
-_SOLVED_FIELDS = {"k": int, "assignment": dict}
-# the field each branch's lifting reads besides the instances
-_BRANCH_NEEDS = {BRANCH_LARGE_YES: "solved", BRANCH_LARGE_NO: None, BRANCH_DIMREDUCE_NO: None,
-                 BRANCH_KPRIME_TOO_BIG: None, BRANCH_EMPTY_AFTER_GREEDY: "blocks",
-                 BRANCH_GENERIC: "blocks"}
+_BRANCHES = (BRANCH_LARGE_NO, BRANCH_DIMREDUCE_NO, BRANCH_KPRIME_TOO_BIG, *YES_BRANCHES)
 
 
 def _check_fields(d: dict, fields: dict) -> None:
@@ -201,26 +184,38 @@ def _check_fields(d: dict, fields: dict) -> None:
             raise FormatError(f"lift context: field {key!r} has the wrong type")
 
 
+def _v1_solved_clusters(doc: dict) -> list[list[int]]:
+    """The clusters of a version 1 large-yes context's stored optimum."""
+    solved = doc.get("solved")
+    if not isinstance(solved, dict):
+        raise FormatError("lift context: branch large-yes needs field 'solved'")
+    _check_fields(solved, {"k": int, "assignment": dict})
+    if any(type(c) is not int for c in solved["assignment"].values()):
+        raise FormatError("lift context: cluster indices must be integers")
+    if solved["k"] != doc["original"]["k"]:
+        raise FormatError("lift context: the stored optimum's k is not the original's k")
+    return Clustering({int(i): c for i, c in solved["assignment"].items()}, solved["k"]).clusters()
+
+
 def _check_lifted_ids(ctx: LiftContext) -> None:
     """FormatError unless lifting yields an equal clustering of the original's ids."""
-    original = ctx.original
-    if ctx.branch == BRANCH_LARGE_YES:
-        ctx.solved.validate_equal(original)
-    if ctx.branch not in (BRANCH_GENERIC, BRANCH_EMPTY_AFTER_GREEDY):
+    if ctx.branch not in YES_BRANCHES:
         return
     ids = [pid for blk in ctx.blocks for pid in blk]
     clusters = len(ctx.blocks)
     if ctx.branch == BRANCH_GENERIC:
         ids += ctx.kernel.ids()
         clusters += ctx.kernel.k
-    if sorted(ids) != sorted(original.ids()):
+    if sorted(ids) != sorted(ctx.ids):
         raise FormatError("lift context: blocks and kernel ids do not partition the original's ids")
-    if clusters != original.k or any(len(blk) != original.s for blk in ctx.blocks):
+    s = len(ctx.ids) // ctx.k
+    if clusters != ctx.k or any(len(blk) != s for blk in ctx.blocks):
         raise FormatError("lift context: blocks and kernel clusters do not fit the original's k")
 
 
 def load_context(fp: IO[str]) -> LiftContext:
-    """Read a context written by save_context; FormatError if the file is anything else."""
+    """Read a context of version 2 or 1, whose original was a whole instance and whose
+    large-yes optimum was a clustering; FormatError if the file is anything else."""
     try:
         doc = json.load(fp)
     except ValueError as exc:  # also bytes that are not UTF-8
@@ -228,29 +223,32 @@ def load_context(fp: IO[str]) -> LiftContext:
     if not isinstance(doc, dict):
         raise FormatError("lift context: not a JSON object")
     _check_fields(doc, {"format": str, "version": int})
-    if doc["format"] != CONTEXT_FORMAT or doc["version"] != CONTEXT_VERSION:
-        raise FormatError(f"lift context: not an {CONTEXT_FORMAT} version {CONTEXT_VERSION} file")
+    if doc["format"] != CONTEXT_FORMAT or doc["version"] not in (1, CONTEXT_VERSION):
+        raise FormatError(f"lift context: not an {CONTEXT_FORMAT} version 1 or "
+                          f"{CONTEXT_VERSION} file")
     _check_fields(doc, _CONTEXT_FIELDS)
-    if doc["branch"] not in _BRANCH_NEEDS:
-        raise FormatError(f"lift context: unknown branch {doc['branch']!r}")
-    needed = _BRANCH_NEEDS[doc["branch"]]
-    if needed is not None and doc[needed] is None:
-        raise FormatError(f"lift context: branch {doc['branch']} needs field {needed!r}")
+    branch = doc["branch"]
+    if branch not in _BRANCHES:
+        raise FormatError(f"lift context: unknown branch {branch!r}")
+    _check_fields(doc["original"], {"k": int, "ids": list})
+    ids, k = doc["original"]["ids"], doc["original"]["k"]
+    # bool is an int subclass, and not an id
+    if any(type(i) is not int or i < 0 for i in ids) or len(set(ids)) != len(ids):
+        raise FormatError("lift context: the original's ids must be unique nonnegative integers")
+    if k < 1 or len(ids) < k or len(ids) % k:
+        raise FormatError(f"lift context: k = {k} does not split {len(ids)} ids equally")
     try:
-        solved = None
-        if doc["solved"] is not None:
-            _check_fields(doc["solved"], _SOLVED_FIELDS)
-            assignment = doc["solved"]["assignment"]
-            if any(type(c) is not int for c in assignment.values()):
-                raise FormatError("lift context: cluster indices must be integers")
-            solved = Clustering({int(i): c for i, c in assignment.items()}, doc["solved"]["k"])
+        blocks = doc["blocks"]
+        if doc["version"] == 1 and branch == BRANCH_LARGE_YES:
+            blocks = _v1_solved_clusters(doc)
+        if branch in YES_BRANCHES and blocks is None:
+            raise FormatError(f"lift context: branch {branch} needs field 'blocks'")
         ctx = LiftContext(
-            branch=doc["branch"],
-            original=_instance_from_dict(doc["original"]),
+            branch=branch,
+            ids=tuple(ids),
+            k=k,
             kernel=_instance_from_dict(doc["kernel"]),
-            blocks=(tuple(tuple(b) for b in doc["blocks"])
-                    if doc["blocks"] is not None else None),
-            solved=solved,
+            blocks=tuple(tuple(b) for b in blocks) if blocks is not None else None,
         )
         _check_lifted_ids(ctx)
         return ctx

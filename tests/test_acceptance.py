@@ -356,7 +356,7 @@ def test_criterion_8_structural_properties():
         d = rng.randint(1, 2)
         inst = gen_random(n=n, k=k, d=d, coord_bound=4, p=p, B=0,
                           seed=rng.randrange(10**9))
-        meds = [Median(tuple(rng.randint(-4, 4) for _ in range(d)), "data-point")
+        meds = [Median(tuple(rng.randint(-4, 4) for _ in range(d)))
                 for _ in range(k)]
         assign_checked += 1
         _, cost = assign_to_medians(inst, meds)

@@ -17,7 +17,7 @@ from eqclus.oracle import min_assignment_cost_exhaustive
 
 
 def medians(*rows):
-    return [Median(tuple(r), "data-point") for r in rows]
+    return [Median(tuple(r)) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_assignment_matches_exhaustive_minimum(p):
         d = rng.randint(1, 2)
         inst = make_instance(
             [[rng.randint(0, 4) for _ in range(d)] for _ in range(n)], p=p, k=k, B=0)
-        meds = [Median(tuple(rng.randint(0, 4) for _ in range(d)), "data-point")
+        meds = [Median(tuple(rng.randint(0, 4) for _ in range(d)))
                 for _ in range(k)]
         _, cost = assign_to_medians(inst, meds)
         want = min_assignment_cost_exhaustive(inst, meds)
@@ -158,7 +158,7 @@ def test_grouped_assignment_matches_exhaustive_on_repeated_points(p):
         d = rng.randint(1, 2)
         vectors = [[rng.randint(0, 3) for _ in range(d)] for _ in range(rng.randint(2, 3))]
         inst = make_instance([rng.choice(vectors) for _ in range(k * s)], p=p, k=k, B=0)
-        meds = [Median(tuple(rng.randint(0, 3) for _ in range(d)), "data-point")
+        meds = [Median(tuple(rng.randint(0, 3) for _ in range(d)))
                 for _ in range(k)]
         clustering, cost = assign_to_medians(inst, meds)
         clustering.validate_equal(inst)

@@ -319,6 +319,13 @@ def _context(branch, blocks=None, solved=None, ids=(0, 1), coords=((0,), (1,))):
                        "original": inst, "kernel": inst, "blocks": blocks, "solved": solved})
 
 
+def _context_v2(branch, ids=(0, 1), k=1, blocks=None):
+    # the original as its ids and k; a kernel of two points, one cluster
+    kernel = {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": (0, 1), "coords": ((0,), (1,))}
+    return json.dumps({"format": "ECLCTX", "version": 2, "branch": branch,
+                       "original": {"k": k, "ids": ids}, "kernel": kernel, "blocks": blocks})
+
+
 @pytest.mark.parametrize("text", [
     '{"format": "ECLCTX", "version": 1}', "[1, 2]", "not json",
     pytest.param(_context("generic", blocks=[[999]]), id="block-id-not-in-original"),
@@ -330,12 +337,34 @@ def _context(branch, blocks=None, solved=None, ids=(0, 1), coords=((0,), (1,))):
     pytest.param(_context("dimreduce-no", ids=(0.5, 1.5)), id="fractional-ids"),
     pytest.param(_context("dimreduce-no", coords=((0.25,), (1.25,))), id="fractional-coords"),
     pytest.param(_context("dimreduce-no", coords=((False,), (True,))), id="bool-coords"),
+    pytest.param(_context_v2("large-no", ids=(0, 0)), id="v2-duplicate-ids"),
+    pytest.param(_context_v2("large-no", ids=(-1, 0)), id="v2-negative-id"),
+    pytest.param(_context_v2("large-no", ids=(False, True)), id="v2-bool-ids"),
+    pytest.param(_context_v2("large-no", k=0), id="v2-k-zero"),
+    pytest.param(_context_v2("large-no", ids=(0, 1, 2), k=2), id="v2-k-not-dividing-n"),
+    pytest.param(_context_v2("large-yes"), id="v2-large-yes-without-blocks"),
 ])
 def test_lift_rejects_malformed_context(tmp_path, capsys, text):
     ctx_f = write(tmp_path / "ctx.json", text + "\n")
     assert main(["lift", "--ctx", ctx_f]) == EXIT_FORMAT
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: lift context:")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["reduce-rsm"], "RSM 4 800 0\n"),  # 12 bytes: 2400 points in dimension 6400
+    (["reduce-3dm"], "TDM 700 0"),    # 4200 points in dimension 12600
+    (["gen", "--n", "10", "--k", "1", "--d", "2000000"], None),
+    (["gen", "--n", "10", "--k", "1", "--d", "2000000", "--planted"], None),
+])
+def test_sizes_are_bounded_before_building(tmp_path, capsys, argv, text):
+    # the header alone asks for more than MAX_COORDINATES coordinates
+    if text is not None:
+        argv = argv + [write(tmp_path / "problem.txt", text)]
+    assert main(argv + ["-o", str(tmp_path / "out.ecl")]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "coordinates" in err[0]
+    assert not (tmp_path / "out.ecl").exists()
 
 
 SUITE_LINE = re.compile(r"verify: suite (\S+): (\d+) instances, (\d+\.\d\d) s, "

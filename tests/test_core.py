@@ -121,25 +121,25 @@ def test_triangle_inequality(p, data):
 
 def test_cluster_cost_direct_sum():
     members = pts((0,), (0,), (3,))
-    assert cluster_cost(members, Median((0,), "data-point"), 1).exact == 3
+    assert cluster_cost(members, Median((0,)), 1).exact == 3
 
 
 def test_cluster_cost_hamming_majority_center():
     members = pts((0, 0), (0, 1), (1, 1))
-    assert cluster_cost(members, Median((0, 1), "coordinatewise-exact"), 0).exact == 2
+    assert cluster_cost(members, Median((0, 1)), 0).exact == 2
 
 
 def test_cluster_cost_four_fives_one_six():
     members = pts((5,), (5,), (5,), (5,), (6,))
-    assert cluster_cost(members, Median((5,), "data-point"), 1).exact == 1
+    assert cluster_cost(members, Median((5,)), 1).exact == 1
 
 
 def test_cluster_cost_sums_exactly_or_left_to_right():
     big = 2 ** 60
     members = pts((big,), (big + 1,), (0,))
-    assert cluster_cost(members, Median((0,), "data-point"), 1).exact == 2 * big + 1
+    assert cluster_cost(members, Median((0,)), 1).exact == 2 * big + 1
     members = pts((0, 0), (1, 1), (2, 3), (5, 1), (1, 7))
-    center = Median((1, 2), "data-point")
+    center = Median((1, 2))
     want = 0.0
     for pt in members:
         want += lp_distance(pt, Point(center.coords, -1), 2).value
@@ -149,7 +149,7 @@ def test_cluster_cost_sums_exactly_or_left_to_right():
 
 def test_cluster_cost_non_integral_center_is_float():
     members = pts((0,), (1,))
-    cost = cluster_cost(members, Median((0.5,), "iterative-approximate"), 1)
+    cost = cluster_cost(members, Median((0.5,)), 1)
     assert cost.exact is None
     assert cost.value == pytest.approx(1.0)
 
@@ -176,16 +176,14 @@ def test_identical_points_are_their_own_median():
         med, cost = optimum_median(pts((2, 3), (2, 3), (2, 3)), p)
         assert med.coords == (2, 3)
         assert cost.value == 0.0
-        assert med.provenance == "data-point"
 
 
 def test_geometric_median_close_to_exact_optimum():
     # three unit-square corners: the l2 median is interior
     members = pts((0, 0), (1, 0), (0, 1))
     med, cost = optimum_median(members, 2)
-    assert med.provenance == "iterative-approximate"
     grid = [(x / 100.0, y / 100.0) for x in range(0, 101) for y in range(0, 101)]
-    best = min(cluster_cost(members, Median(g, "data-point"), 2).value for g in grid)
+    best = min(cluster_cost(members, Median(g), 2).value for g in grid)
     assert cost.value <= best + 1e-4
 
 
@@ -205,7 +203,7 @@ def test_median_beats_every_grid_center(p):
                    for i in range(m)]
         _, cost = optimum_median(members, p)
         for cand in _grid_candidates(members, d):
-            cand_cost = cluster_cost(members, Median(cand, "data-point"), p)
+            cand_cost = cluster_cost(members, Median(cand), p)
             assert cost.exact <= cand_cost.exact
 
 
@@ -218,7 +216,6 @@ def test_higher_norm_median_on_a_segment():
     # for p = 3 any center on the segment is optimal with cost |a - b|
     members = pts((0,), (10,))
     med, cost = optimum_median(members, 3)
-    assert med.provenance == "iterative-approximate"
     assert 0.0 <= med.coords[0] <= 10.0
     assert cost.value == pytest.approx(10.0, abs=1e-6)
 

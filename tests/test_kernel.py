@@ -244,6 +244,10 @@ def test_context_round_trip_through_text():
         buf = io.StringIO()
         save_context(ctx, buf)
         assert buf.getvalue().count("\n") == 1 and buf.getvalue().endswith("\n")
+        doc = json.loads(buf.getvalue())
+        # version 2 keeps of the original only what lifting reads
+        assert doc["version"] == 2 and "solved" not in doc
+        assert doc["original"] == {"k": inst.k, "ids": inst.ids()}
         loaded = load_context(io.StringIO(buf.getvalue()))
         assert loaded == ctx
         # lifting through the reloaded context gives the same clustering
@@ -256,17 +260,41 @@ def test_context_round_trip_through_text():
 
 def test_context_with_reduce_maps_still_lifts():
     # written by `eqclus gen --n 12 --k 3 --d 2 --p 0 --B 1 --seed 1 --coord-bound 2`
-    # and `kernelize --mode lossy` when contexts also carried both dimension
-    # reductions' maps; lift never read them, and the reader ignores them
+    # and `kernelize --mode lossy` when contexts were version 1 and also carried
+    # both dimension reductions' maps; lift never read them, and the reader
+    # ignores them and the original's coordinates
     text = (Path(__file__).parent / "data" / "generic_context_with_maps.json").read_text()
     doc = json.loads(text)
+    assert doc["version"] == 1
+    assert doc["first_map"] is not None and doc["second_map"] is not None
+    original = doc["original"]
+    inst = make_instance(original["coords"], p=original["p"], k=original["k"],
+                         B=original["B"], ids=original["ids"], dim=original["dim"])
     loaded = load_context(io.StringIO(text))
-    kern, ctx = lossy_kernelize(loaded.original)
+    kern, ctx = lossy_kernelize(inst)
     buf = io.StringIO()
     save_context(ctx, buf)
-    extra = doc.keys() - json.loads(buf.getvalue()).keys()
-    assert len(extra) == 2 and all(doc[key] is not None for key in extra)
+    assert json.loads(buf.getvalue()).keys().isdisjoint({"first_map", "second_map"})
     assert loaded == ctx and loaded.branch == BRANCH_GENERIC and loaded.kernel == kern
     sol, _ = brute_force_opt(kern)
     lifted = lift_solution(loaded, sol)
     assert [lifted.assignment[i] for i in range(12)] == [2, 3, 1, 2, 2, 1, 1, 2, 1, 3, 3, 3]
+
+
+def test_version_1_large_yes_context_lifts_through_blocks():
+    # written by `kernelize --mode lossy` while contexts were version 1, from
+    # the instance in its "original" field (two clusters of five, B = 1): the
+    # large-regime optimum was stored as a clustering, "solved"
+    text = (Path(__file__).parent / "data" / "large_yes_context_v1.json").read_text()
+    doc = json.loads(text)
+    assert doc["version"] == 1 and doc["solved"] is not None
+    original = doc["original"]
+    inst = make_instance(original["coords"], p=original["p"], k=original["k"],
+                         B=original["B"], ids=original["ids"], dim=original["dim"])
+    loaded = load_context(io.StringIO(text))
+    _, ctx = lossy_kernelize(inst)
+    assert loaded == ctx and loaded.branch == BRANCH_LARGE_YES
+    assert loaded.blocks == ((0, 3, 5, 7, 9), (1, 2, 4, 6, 8))
+    lifted = lift_solution(loaded, None)
+    # the clustering the version 1 code lifted this context to
+    assert [lifted.assignment[i] for i in range(10)] == [1, 2, 2, 1, 2, 1, 2, 1, 2, 1]
