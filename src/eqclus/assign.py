@@ -21,7 +21,6 @@ from .core import (
     CostValue,
     Instance,
     Median,
-    Point,
     distance_leq_budget,
     lp_distance,
 )
@@ -143,11 +142,7 @@ def min_cost_flow(net: FlowNetwork, volume: int) -> FlowResult:
     total: int | float = 0
     for f, arc in zip(flows, net.arcs):
         total += f * arc.cost
-    if isinstance(total, int):
-        cv = CostValue.of_int(total)
-    else:
-        cv = CostValue.of_float(total)
-    return FlowResult(flows, cv, shipped)
+    return FlowResult(flows, CostValue(total), shipped)
 
 
 def assign_to_medians(inst: Instance, medians: Sequence[Median],
@@ -182,7 +177,7 @@ def assign_to_medians(inst: Instance, medians: Sequence[Median],
     group_arcs: list[list[tuple[int, int]]] = []  # per group: (cluster index, arc id)
     for a, grp in enumerate(groups):
         rep = grp[0]
-        arcs = [(j, net.add_arc(1 + a, 1 + g + j, len(grp), _arc_cost(rep, med, inst.p)))
+        arcs = [(j, net.add_arc(1 + a, 1 + g + j, len(grp), lp_distance(rep, med, inst.p).amount))
                 for j, med in enumerate(medians)
                 if budget is None or distance_leq_budget(rep, med, inst.p, budget)]
         if not arcs:
@@ -200,7 +195,3 @@ def assign_to_medians(inst: Instance, medians: Sequence[Median],
                 assignment[next(members).id] = j + 1
     return Clustering(assignment, k), result.cost
 
-
-def _arc_cost(pt: Point, med: Median, p: int) -> int | float:
-    cv = lp_distance(pt, med, p)
-    return cv.exact if cv.exact is not None else cv.value

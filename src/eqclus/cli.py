@@ -16,14 +16,12 @@ import io
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from . import formats, generators, kernel, oracle
 from .assign import assign_to_medians
 from .core import (
     Clustering,
-    CostValue,
     Instance,
     InvalidInstanceError,
     Median,
@@ -88,10 +86,6 @@ def _emit(outputs: list[tuple[str | None, str]]) -> None:
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _cost_repr(cv: CostValue) -> str:
-    return str(cv.exact) if cv.exact is not None else repr(cv.value)
 
 
 def _clustering_text(c: Clustering, ids: Sequence[int]) -> str:
@@ -188,7 +182,7 @@ def _cmd_solve(args) -> int:
                 f"medians file has {med_inst.n} points, instance needs k = {inst.k}")
         medians = [Median.from_point(pt) for pt in med_inst.points]
         clustering, cost = assign_to_medians(inst, medians)
-    outputs = [(None, f"cost {_cost_repr(cost)}\n")]
+    outputs = [(None, f"cost {cost.amount!r}\n")]
     if args.out:
         outputs.append((args.out, _clustering_text(clustering, inst.ids())))
     _emit(outputs)
@@ -199,7 +193,7 @@ def _cmd_eval(args) -> int:
     inst = formats.parse_instance(_read_text(args.instance))
     clustering = _clustering_from_file(_read_text(args.clustering), inst)
     cost = clustering_cost(inst, clustering)
-    _emit([(None, f"cost {_cost_repr(cost)}\ntruncated {_cost_repr(cost.truncated(inst.B))}\n")])
+    _emit([(None, f"cost {cost.amount!r}\ntruncated {cost.truncated(inst.B).amount!r}\n")])
     return EXIT_OK
 
 
@@ -269,6 +263,8 @@ def _check_verify_case(case: tuple) -> tuple[str, list[str]]:
 def _cmd_verify(args) -> int:
     cases = _verify_cases(args.count, args.seed)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_verify_case, cases))
     else:

@@ -38,41 +38,36 @@ class Point:
 
 @dataclass(frozen=True)
 class CostValue:
-    """A nonnegative cost; `exact` carries the integer value when one exists.
+    """A nonnegative cost: an `int` exactly when the cost is exact, else a float.
 
-    For p in {0, 1} with integral centers all costs are exact integers and
-    `value` is just the float image of `exact`. For p >= 2, `exact` is None.
+    For p in {0, 1} with integral centers every cost is an exact integer of
+    any size, with no float copy; for p >= 2 it is a float.
     """
 
-    value: float
-    exact: int | None = None
+    amount: int | float
 
-    @classmethod
-    def of_int(cls, v: int) -> "CostValue":
-        return cls(float(v), int(v))
+    @property
+    def exact(self) -> int | None:
+        return self.amount if type(self.amount) is int else None
 
-    @classmethod
-    def of_float(cls, v: float) -> "CostValue":
-        return cls(float(v), None)
+    @property
+    def value(self) -> float:
+        return float(self.amount)
 
     def __add__(self, other: "CostValue") -> "CostValue":
-        if self.exact is not None and other.exact is not None:
-            return CostValue.of_int(self.exact + other.exact)
-        return CostValue(self.value + other.value, None)
+        return CostValue(self.amount + other.amount)
 
     def leq(self, bound: int) -> bool:
-        """Exact `cost <= bound` whenever the exact integer is available."""
-        if self.exact is not None:
-            return self.exact <= bound
-        return self.value <= bound
+        """`cost <= bound`; exact for integers, and Python compares int with float exactly."""
+        return self.amount <= bound
 
     def truncated(self, bound: int) -> "CostValue":
         """This cost if it is at most `bound`, else bound + 1."""
-        return self if self.leq(bound) else CostValue.of_int(bound + 1)
+        return self if self.leq(bound) else CostValue(bound + 1)
 
 
 def exact_zero(p: int) -> CostValue:
-    return CostValue.of_int(0) if p <= 1 else CostValue(0.0)
+    return CostValue(0) if p <= 1 else CostValue(0.0)
 
 
 @dataclass(frozen=True)
@@ -243,13 +238,9 @@ def _center_distance(coords: Sequence[int], center: Sequence[float], p: int) -> 
         return m * sum((abs(a - c) / m) ** p for a, c in zip(coords, center)) ** (1.0 / p)
 
 
-def _cost_value(v: int | float) -> CostValue:
-    return CostValue.of_int(v) if type(v) is int else CostValue.of_float(v)
-
-
 def lp_distance(x: Point, y: Point | Median, p: int) -> CostValue:
     """l_p distance to a point or center; exact integer for p in {0, 1} at integral y."""
-    return _cost_value(_center_distance(x.coords, y.coords, p))
+    return CostValue(_center_distance(x.coords, y.coords, p))
 
 
 def distance_leq_budget(x: Point, y: Point | Median, p: int, B: int) -> bool:
@@ -277,14 +268,11 @@ def cluster_cost(points: Sequence[Point], center: Median, p: int) -> CostValue:
     """Sum of l_p distances from the members to the given center."""
     if not points:
         raise ValueError("cluster_cost on empty collection")
-    dists = [_center_distance(pt.coords, center.coords, p) for pt in points]
-    if all(type(v) is int for v in dists):
-        return CostValue.of_int(sum(dists))
-    # plain left-to-right float sum, not sum(), whose rounding may differ
-    total = float(dists[0])
-    for v in dists[1:]:
-        total += v
-    return CostValue.of_float(total)
+    # plain left-to-right sum, not sum(), whose float rounding may differ
+    total = _center_distance(points[0].coords, center.coords, p)
+    for pt in points[1:]:
+        total += _center_distance(pt.coords, center.coords, p)
+    return CostValue(total)
 
 
 def _majority_median(points: Sequence[Point]) -> tuple[int, ...]:

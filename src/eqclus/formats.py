@@ -112,6 +112,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
     r = t.next_int()
     n = t.next_int()
     m = t.next_int()
+    if r < 3:  # before the edges: with r <= 0 no edge reads a token, so m alone sizes the list
+        raise FormatError("hypergraph: uniformity r must be >= 3")
     edges = [tuple(t.next_int() for _ in range(r)) for _ in range(m)]
     t.done()
     try:

@@ -156,7 +156,7 @@ def brute_force_opt(inst: Instance) -> tuple[Clustering, CostValue]:
     pts = sorted(inst.points, key=lambda pt: pt.id)
     cost, assign = best_equal_partition([pt.coords for pt in pts], inst.k, inst.p)
     clustering = Clustering({pt.id: c + 1 for pt, c in zip(pts, assign)}, inst.k)
-    return clustering, CostValue.of_int(cost)
+    return clustering, CostValue(cost)
 
 
 def min_assignment_cost_exhaustive(inst: Instance, medians: Sequence[Median]) -> CostValue:
@@ -176,10 +176,7 @@ def min_assignment_cost_exhaustive(inst: Instance, medians: Sequence[Median]) ->
             total = cluster_cost([inst.by_id[i] for i in parts[0]], medians[perm[0]], inst.p)
             for part, m in zip(parts[1:], perm[1:]):
                 total = total + cluster_cost([inst.by_id[i] for i in part], medians[m], inst.p)
-            key = total.exact if total.exact is not None else total.value
-            best_key = None if best is None else (
-                best.exact if best.exact is not None else best.value)
-            if best_key is None or key < best_key:
+            if best is None or total.amount < best.amount:
                 best = total
     assert best is not None
     return best

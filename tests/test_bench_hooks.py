@@ -1,13 +1,18 @@
-"""The functions perfbench/tracer.py wraps by name must exist in the package.
+"""What perfbench/ looks up in the package must exist there.
 
-The tracer looks each one up when it installs itself, so a rename under src/
-would otherwise surface only as a failed benchmark run. The tracer is loaded
-as a plain module here and never installed.
+The tracer looks each traced function up when it installs itself, and the
+harness reads a few attributes off results, so a rename under src/ would
+otherwise surface only as a failed benchmark run. The tracer is loaded as a
+plain module here and never installed.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import eqclus
+from eqclus.assign import FlowNetwork
+from eqclus.core import Median, Point, cluster_cost
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -22,4 +27,11 @@ def test_every_traced_function_exists():
     hooks = [(layer, name) for layer, names in tracer.TIMED.items() for name in names]
     missing = [f"eqclus.{layer}.{name}" for layer, name in hooks + COUNTED
                if not callable(getattr(importlib.import_module(f"eqclus.{layer}"), name, None))]
+    # attributes read off results: tracer._flow_counts reads the network of
+    # every traced min_cost_flow call, run.py a cluster_cost result and COMPILED
+    net = FlowNetwork(2, 0, 1)
+    cost = cluster_cost([Point((0,), 0)], Median((1,)), 1)
+    read = [("FlowNetwork", net, "num_nodes"), ("FlowNetwork", net, "arcs"),
+            ("cluster_cost(...)", cost, "exact"), ("eqclus", eqclus, "COMPILED")]
+    missing += [f"{what}.{attr}" for what, obj, attr in read if not hasattr(obj, attr)]
     assert not missing

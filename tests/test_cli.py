@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -293,6 +294,17 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["eval", beyond_f, one_f]) == EXIT_INFEASIBLE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    # at p = 1 the same points have an exact integer cost, which no command
+    # turns into a float
+    exact_f = write(tmp_path / "exact.ecl", f"ECL 1\n1 1 2 1 0\n0\n{10 ** 400}\n")
+    zero_f = write(tmp_path / "zero.ecl", "ECL 1\n1 1 1 1 0\n0\n")
+    for argv, want in (
+            (["eval", exact_f, one_f], [f"cost {10 ** 400}", "truncated 1"]),
+            (["solve", exact_f, "--method", "brute"], [f"cost {10 ** 400}"]),
+            (["solve", exact_f, "--method", "matching", "--medians", zero_f],
+             [f"cost {10 ** 400}"])):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == want
     # a point farther than B from every candidate is never priced: the exact
     # budget check alone answers NO
     far_f = write(tmp_path / "far.ecl", "ECL 1\n400 1 10 1 1\n" + "0\n" * 9 + "10\n")
@@ -365,6 +377,22 @@ def test_sizes_are_bounded_before_building(tmp_path, capsys, argv, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "coordinates" in err[0]
     assert not (tmp_path / "out.ecl").exists()
+
+
+def test_rsm_header_uniformity_is_checked_before_the_edges(tmp_path, capsys):
+    # with r <= 0 no edge reads a token, so m alone would size the edge list
+    def timeout(signum, frame):
+        raise TimeoutError("reduce-rsm read the edges of an invalid header")
+
+    rsm_f = write(tmp_path / "h.rsm", "RSM 0 1 1000000000\n")
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        assert main(["reduce-rsm", rsm_f]) == EXIT_FORMAT
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert capsys.readouterr().err == "error: hypergraph: uniformity r must be >= 3\n"
 
 
 SUITE_LINE = re.compile(r"verify: suite (\S+): (\d+) instances, (\d+\.\d\d) s, "

@@ -278,12 +278,19 @@ def test_instance_rejects_non_integer_coordinates_and_ids(pt):
 
 
 def test_cost_value_addition_preserves_exactness():
-    a = CostValue.of_int(2)
-    b = CostValue.of_int(3)
-    assert (a + b).exact == 5
-    c = CostValue.of_float(1.5)
+    a = CostValue(2)
+    assert (a + CostValue(3)).exact == 5
+    c = CostValue(1.5)
     assert (a + c).exact is None
     assert (a + c).value == pytest.approx(3.5)
+
+
+def test_cost_value_is_exact_beyond_float_range():
+    big = CostValue(10 ** 400)
+    assert big.exact == 10 ** 400
+    assert big.leq(10 ** 400) and not big.leq(10 ** 400 - 1)
+    assert big.truncated(5).exact == 6
+    assert (big + CostValue(1)).exact == 10 ** 400 + 1
 
 
 # ---------------------------------------------------------------------------

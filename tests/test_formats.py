@@ -95,6 +95,12 @@ def test_hypergraph_validation_becomes_format_error():
         parse_hypergraph("RSM 3 6 1\n1 2 2\n")
 
 
+def test_hypergraph_uniformity_is_checked_before_the_edges():
+    # with r = 0 no edge reads a token, so the "x" would count as trailing data
+    with pytest.raises(FormatError, match=r"^hypergraph: uniformity r must be >= 3$"):
+        parse_hypergraph("RSM 0 1 5\nx")
+
+
 def test_tdm_parse_example():
     t = parse_tdm("TDM 2 4\n1 1 1\n2 2 2\n1 2 2\n2 1 1\n")
     assert t == TdmInstance(2, ((1, 1, 1), (2, 2, 2), (1, 2, 2), (2, 1, 1)))
