@@ -13,8 +13,7 @@ flows expand back to point ids without changing the cost.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Clustering,
@@ -30,8 +29,7 @@ class InfeasibleFlowError(ValueError):
     """The requested flow volume exceeds the maximum flow of the network."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: int
     head: int
     capacity: int
@@ -62,8 +60,7 @@ class FlowNetwork:
         return len(self.arcs) - 1
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     flows: tuple[int, ...]  # per arc, in insertion order
     cost: CostValue
     volume: int

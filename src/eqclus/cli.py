@@ -18,10 +18,13 @@ import sys
 import time
 from typing import Sequence
 
-from . import formats, generators, kernel, oracle
+# generators is imported only by the commands that use it (gen, reduce-*,
+# verify): it imports dataclasses, which every other command would pay for
+from . import formats, kernel, oracle
 from .assign import assign_to_medians
 from .core import (
     Clustering,
+    CostValue,
     Instance,
     InvalidInstanceError,
     Median,
@@ -88,6 +91,20 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _cost_text(cost: CostValue) -> str:
+    """repr of a cost's amount, with Python's int-to-str digit limit lifted for this call alone.
+
+    An exact cost sums at most n*d coordinate gaps, so it has only a few digits
+    more than the input's largest coordinate, whose length parsing keeps under
+    that limit; the conversion stays cheap."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return repr(cost.amount)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _clustering_text(c: Clustering, ids: Sequence[int]) -> str:
     # clustering files are positional: line i describes the point with id ids[i]
     return formats.format_clustering(
@@ -107,6 +124,8 @@ def _clustering_from_file(text: str, inst: Instance) -> Clustering:
 # subcommands
 
 def _cmd_gen(args) -> int:
+    from . import generators
+
     if args.planted:
         if args.k < 1 or args.n % args.k:
             raise InvalidInstanceError(f"n = {args.n} is not divisible by k = {args.k}")
@@ -126,11 +145,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    problem = args.parse(_read_text(args.input))
-    inst = args.reduce(problem)
+    from . import generators
+
+    if args.problem == "rsm":
+        parse, reduce, plant = (formats.parse_hypergraph, generators.reduce_rsm,
+                                generators.planted_rsm_clustering)
+    else:
+        parse, reduce, plant = (formats.parse_tdm, generators.reduce_3dm,
+                                generators.planted_3dm_clustering)
+    problem = parse(_read_text(args.input))
+    inst = reduce(problem)
     outputs = [(args.out, formats.format_instance(inst))]
     if args.matching:
-        planted = args.plant(problem, formats.parse_matching(_read_text(args.matching)))
+        planted = plant(problem, formats.parse_matching(_read_text(args.matching)))
         outputs.append((args.clustering_out, _clustering_text(planted, inst.ids())))
     _emit(outputs)
     return EXIT_OK
@@ -182,7 +209,7 @@ def _cmd_solve(args) -> int:
                 f"medians file has {med_inst.n} points, instance needs k = {inst.k}")
         medians = [Median.from_point(pt) for pt in med_inst.points]
         clustering, cost = assign_to_medians(inst, medians)
-    outputs = [(None, f"cost {cost.amount!r}\n")]
+    outputs = [(None, f"cost {_cost_text(cost)}\n")]
     if args.out:
         outputs.append((args.out, _clustering_text(clustering, inst.ids())))
     _emit(outputs)
@@ -193,7 +220,7 @@ def _cmd_eval(args) -> int:
     inst = formats.parse_instance(_read_text(args.instance))
     clustering = _clustering_from_file(_read_text(args.clustering), inst)
     cost = clustering_cost(inst, clustering)
-    _emit([(None, f"cost {cost.amount!r}\ntruncated {cost.truncated(inst.B).amount!r}\n")])
+    _emit([(None, f"cost {_cost_text(cost)}\ntruncated {_cost_text(cost.truncated(inst.B))}\n")])
     return EXIT_OK
 
 
@@ -225,6 +252,8 @@ def _run_verify_case(case: tuple) -> tuple[str, list[str], float]:
 
 
 def _check_verify_case(case: tuple) -> tuple[str, list[str]]:
+    from . import generators
+
     suite, n, k, bound, B, p, s = case
     desc = f"{suite}(n={n},k={k},B={B},p={p},seed={s})"
     inst = generators.gen_random(n=n, k=k, d=2, coord_bound=bound, p=p, B=B, seed=s)
@@ -261,6 +290,8 @@ def _check_verify_case(case: tuple) -> tuple[str, list[str]]:
 
 
 def _cmd_verify(args) -> int:
+    from . import generators  # noqa: F401  (before the cases, so no case's time includes it)
+
     cases = _verify_cases(args.count, args.seed)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
@@ -312,17 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--out", default=None)
     g.set_defaults(func=_cmd_gen)
 
-    for name, what, parse, reduce, plant in (
-            ("reduce-rsm", "hypergraph matching", formats.parse_hypergraph,
-             generators.reduce_rsm, generators.planted_rsm_clustering),
-            ("reduce-3dm", "3-dimensional matching", formats.parse_tdm,
-             generators.reduce_3dm, generators.planted_3dm_clustering)):
-        rd = sub.add_parser(name, help=f"{what} -> instance")
+    for problem, what in (("rsm", "hypergraph matching"), ("3dm", "3-dimensional matching")):
+        rd = sub.add_parser(f"reduce-{problem}", help=f"{what} -> instance")
         rd.add_argument("input")
         rd.add_argument("-o", "--out", default=None)
         rd.add_argument("--matching", default=None)
         rd.add_argument("--clustering-out", default=None)
-        rd.set_defaults(func=_cmd_reduce, parse=parse, reduce=reduce, plant=plant)
+        rd.set_defaults(func=_cmd_reduce, problem=problem)
 
     kz = sub.add_parser("kernelize", help="shrink an instance")
     kz.add_argument("input")
@@ -367,6 +394,11 @@ def main(argv=None) -> int:
             ap.error("kernelize --mode lossy requires --ctx FILE")
         if args.mode == "exact" and args.ctx:
             ap.error("--ctx applies only to --mode lossy (exact kernels need no lifting)")
+    if args.command == "verify":
+        if args.count < 1:
+            ap.error(f"verify --count must be >= 1, got {args.count}")
+        if args.jobs < 1:
+            ap.error(f"verify --jobs must be >= 1, got {args.jobs}")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -12,9 +12,8 @@ medians for p >= 2, which have no closed form.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 FERMAT_WEBER_TOL = 1e-9
 FERMAT_WEBER_MAX_ITER = 10_000
@@ -28,16 +27,14 @@ class InvalidClusteringError(ValueError):
     """Clustering does not form an equal partition of the instance ids."""
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """Integer vector plus a stable nonnegative id, unique within an instance."""
 
     coords: tuple[int, ...]
     id: int
 
 
-@dataclass(frozen=True)
-class CostValue:
+class CostValue(NamedTuple):
     """A nonnegative cost: an `int` exactly when the cost is exact, else a float.
 
     For p in {0, 1} with integral centers every cost is an exact integer of
@@ -70,8 +67,7 @@ def exact_zero(p: int) -> CostValue:
     return CostValue(0) if p <= 1 else CostValue(0.0)
 
 
-@dataclass(frozen=True)
-class Median:
+class Median(NamedTuple):
     """A cluster center. Coordinates are integral except for iterative medians."""
 
     coords: tuple[float, ...]
@@ -81,43 +77,39 @@ class Median:
         return cls(tuple(pt.coords))
 
 
-@dataclass(frozen=True)
 class Instance:
     """A multiset of points with norm index p, cluster count k, and budget B.
 
     n must be divisible by k and, for k >= 1, the common cluster size
     s = n/k must be at least 1. k = 0 is permitted only for the empty
     remainder left after removing all points in full blocks.
+
+    Immutable, equal and hashed by (points, p, k, B, dim). A plain class
+    rather than a NamedTuple, because the cached `by_id` and `groups` live in
+    the instance's `__dict__`.
     """
 
-    points: tuple[Point, ...]
-    p: int
-    k: int
-    B: int
-    dim: int = -1
-
-    def __post_init__(self):
-        if self.p < 0:
-            raise InvalidInstanceError(f"norm index p must be >= 0, got {self.p}")
-        if self.B < 0:
-            raise InvalidInstanceError(f"budget B must be >= 0, got {self.B}")
-        if self.k < 0:
-            raise InvalidInstanceError(f"k must be >= 0, got {self.k}")
-        n = len(self.points)
-        if self.k == 0:
+    def __init__(self, points: tuple[Point, ...], p: int, k: int, B: int, dim: int = -1):
+        if p < 0:
+            raise InvalidInstanceError(f"norm index p must be >= 0, got {p}")
+        if B < 0:
+            raise InvalidInstanceError(f"budget B must be >= 0, got {B}")
+        if k < 0:
+            raise InvalidInstanceError(f"k must be >= 0, got {k}")
+        n = len(points)
+        if k == 0:
             if n != 0:
                 raise InvalidInstanceError("k = 0 requires an empty point set")
         else:
-            if n % self.k != 0:
-                raise InvalidInstanceError(f"n = {n} is not divisible by k = {self.k}")
-            if n < self.k:
-                raise InvalidInstanceError(f"need n >= k for cluster size >= 1 (n={n}, k={self.k})")
-        dim = self.dim
+            if n % k != 0:
+                raise InvalidInstanceError(f"n = {n} is not divisible by k = {k}")
+            if n < k:
+                raise InvalidInstanceError(f"need n >= k for cluster size >= 1 (n={n}, k={k})")
         if n > 0:
-            d0 = len(self.points[0].coords)
+            d0 = len(points[0].coords)
             if dim == -1:
                 dim = d0
-            for pt in self.points:
+            for pt in points:
                 if len(pt.coords) != dim:
                     raise InvalidInstanceError("points of mixed dimension")
                 if type(pt.id) is not int or pt.id < 0:
@@ -127,12 +119,33 @@ class Instance:
                         raise InvalidInstanceError("coordinates must be integers")
             if dim < 1:
                 raise InvalidInstanceError("dimension must be >= 1")
-            ids = [pt.id for pt in self.points]
+            ids = [pt.id for pt in points]
             if len(set(ids)) != n:
                 raise InvalidInstanceError("point ids must be unique")
         elif dim == -1:
             dim = 0
-        object.__setattr__(self, "dim", dim)
+        self.__dict__.update(points=points, p=p, k=k, B=B, dim=dim)
+
+    def _key(self) -> tuple:
+        return (self.points, self.p, self.k, self.B, self.dim)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Instance(points={self.points!r}, p={self.p!r}, k={self.k!r}, "
+                f"B={self.B!r}, dim={self.dim!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n(self) -> int:
@@ -167,8 +180,7 @@ def make_instance(rows: Iterable[Sequence[int]], p: int, k: int, B: int,
     return Instance(pts, p=p, k=k, B=B, dim=dim)
 
 
-@dataclass(frozen=True)
-class Clustering:
+class Clustering(NamedTuple):
     """Map from point id to 1-based cluster index."""
 
     assignment: Mapping[int, int]

@@ -10,8 +10,12 @@ All formats are UTF-8 and whitespace-separated with a literal header token.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import Clustering, Instance, make_instance
-from .generators import Hypergraph, TdmInstance
+
+if TYPE_CHECKING:  # generators is imported where it is used: it pulls in dataclasses
+    from .generators import Hypergraph, TdmInstance
 
 
 class FormatError(ValueError):
@@ -116,6 +120,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise FormatError("hypergraph: uniformity r must be >= 3")
     edges = [tuple(t.next_int() for _ in range(r)) for _ in range(m)]
     t.done()
+    from .generators import Hypergraph
+
     try:
         return Hypergraph(r, n, tuple(edges))
     except ValueError as exc:
@@ -129,6 +135,8 @@ def parse_tdm(text: str) -> TdmInstance:
     m = t.next_int()
     triples = [(t.next_int(), t.next_int(), t.next_int()) for _ in range(m)]
     t.done()
+    from .generators import TdmInstance
+
     try:
         return TdmInstance(n, tuple(triples))
     except ValueError as exc:

@@ -16,8 +16,7 @@ clusters followed by the kernel's clusters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import IO
+from typing import IO, NamedTuple
 
 from .core import (
     Clustering,
@@ -43,8 +42,7 @@ CONTEXT_VERSION = 2
 YES_BRANCHES = (BRANCH_LARGE_YES, BRANCH_EMPTY_AFTER_GREEDY, BRANCH_GENERIC)
 
 
-@dataclass(frozen=True)
-class LiftContext:
+class LiftContext(NamedTuple):
     """Everything needed to map a kernel clustering back to the original instance."""
 
     branch: str

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     Clustering,
@@ -190,12 +189,11 @@ def canonical_clusters(c: Clustering) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # property checks
 
-@dataclass
-class RatioReport:
+class RatioReport(NamedTuple):
     branch: str
     opt_truncated: int
     lifted_truncated: int
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]  # a fresh list per report, filled by the checker
 
     @property
     def ok(self) -> bool:
@@ -221,7 +219,7 @@ def check_lossy_ratio(inst: Instance) -> RatioReport:
     kernel_solution, _ = brute_force_opt(kernel)
     lifted = lift_solution(ctx, kernel_solution)
     lifted_trunc = truncated_cost(inst, lifted).exact
-    report = RatioReport(ctx.branch, opt_trunc, lifted_trunc)
+    report = RatioReport(ctx.branch, opt_trunc, lifted_trunc, [])
     if lifted_trunc > 2 * opt_trunc:
         report.violations.append(
             f"lifted truncated cost {lifted_trunc} exceeds 2*Opt = {2 * opt_trunc}")
@@ -253,11 +251,10 @@ def _kernel_size_violations(kernel: Instance, B: int) -> list[str]:
     return out
 
 
-@dataclass
-class StructureReport:
+class StructureReport(NamedTuple):
     cost: int
     within_budget: bool
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]  # a fresh list per report, filled by the checker
 
     @property
     def ok(self) -> bool:
@@ -275,7 +272,7 @@ def check_structure(inst: Instance, clustering: Clustering) -> StructureReport:
     """
     cost = clustering_cost(inst, clustering)
     report = StructureReport(cost.exact if cost.exact is not None else -1,
-                             cost.leq(inst.B))
+                             cost.leq(inst.B), [])
     s, B = inst.s, inst.B
     clusters = clustering.clusters()
     medians = []

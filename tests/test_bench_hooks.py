@@ -8,6 +8,8 @@ plain module here and never installed.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import eqclus
@@ -20,10 +22,15 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 COUNTED = [("dimreduce", "distance_leq_budget"), ("exact_large", "assign_to_medians")]
 
 
-def test_every_traced_function_exists():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_function_exists():
+    tracer = load_tracer()
     hooks = [(layer, name) for layer, names in tracer.TIMED.items() for name in names]
     missing = [f"eqclus.{layer}.{name}" for layer, name in hooks + COUNTED
                if not callable(getattr(importlib.import_module(f"eqclus.{layer}"), name, None))]
@@ -35,3 +42,16 @@ def test_every_traced_function_exists():
             ("cluster_cost(...)", cost, "exact"), ("eqclus", eqclus, "COMPILED")]
     missing += [f"{what}.{attr}" for what, obj, attr in read if not hasattr(obj, attr)]
     assert not missing
+
+
+def test_cli_import_loads_every_traced_layer_and_no_dataclasses():
+    # the tracer installs itself right after `from eqclus import cli, core` and
+    # looks each traced layer up in sys.modules, so none may be imported lazily;
+    # dataclasses and eqclus.generators stay off the import, which they slow
+    src = str(Path(eqclus.__file__).resolve().parent.parent)
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import eqclus.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert [layer for layer in load_tracer().TIMED if f"eqclus.{layer}" not in loaded] == []
+    assert {"dataclasses", "eqclus.generators"} & loaded == set()

@@ -424,6 +424,62 @@ def test_verify_parallel_jobs(capsys):
     assert_suite_timings(captured.err, 2)
 
 
+@pytest.mark.parametrize("flags", [["--count", "0"], ["--count", "-1"],
+                                   ["--jobs", "0"], ["--jobs", "-2"]])
+def test_verify_rejects_a_run_that_checks_nothing(flags, capsys):
+    # no checks, or no worker to run them, is a usage error, not "all 0 checks passed"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and flags[0] in captured.err
+
+
+def test_costs_print_beyond_the_int_to_str_digit_limit(tmp_path, capsys):
+    # X = 9*10^4299 has 4300 digits, the most int() parses by default; the
+    # cost 2X has 4301, which Python would refuse to turn into text
+    x_text = "9" + "0" * 4299
+    inst_f = write(tmp_path / "x.ecl", f"ECL 1\n1 1 2 1 0\n-{x_text}\n{x_text}\n")
+    one_f = write(tmp_path / "one.asg", "ASSIGN 1 2 1\n1\n1\n")
+    cost = "cost 18" + "0" * 4299
+    limit = sys.get_int_max_str_digits()
+    for argv, want in ((["eval", inst_f, one_f], [cost, "truncated 1"]),
+                       (["solve", inst_f, "--method", "brute"], [cost])):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == want
+        assert sys.get_int_max_str_digits() == limit
+    # parsing keeps the limit: a coordinate of 4301 digits is a malformed file
+    long_f = write(tmp_path / "long.ecl", "ECL 1\n1 1 2 1 0\n0\n1" + "0" * 4300 + "\n")
+    assert main(["eval", long_f, one_f]) == EXIT_FORMAT
+
+
+def test_generator_commands_import_generators_themselves(tmp_path):
+    # importing the cli leaves eqclus.generators out; in a fresh interpreter
+    # each command that builds instances must import it on its own
+    src = str(Path(eqclus.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    write(tmp_path / "h.rsm", FIG1_RSM)
+    write(tmp_path / "t.tdm", "TDM 1 1\n1 1 1\n")
+    write(tmp_path / "hm.txt", "1 2\n")
+    write(tmp_path / "tm.txt", "1\n")
+    for argv in (["gen", "--n", "6", "--k", "2", "--planted", "-o", "g.ecl",
+                  "--planted-out", "g.asg"],
+                 ["reduce-rsm", "h.rsm", "-o", "r.ecl", "--matching", "hm.txt",
+                  "--clustering-out", "r.asg"],
+                 ["reduce-3dm", "t.tdm", "-o", "t.ecl", "--matching", "tm.txt",
+                  "--clustering-out", "t.asg"],
+                 ["verify", "--count", "1", "--jobs", "2"]):
+        proc = subprocess.run([sys.executable, "-m", "eqclus", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK, (argv, proc.stderr)
+    for stem in ("g", "r", "t"):
+        inst = parse_instance((tmp_path / f"{stem}.ecl").read_text(encoding="utf-8"))
+        planted = parse_clustering((tmp_path / f"{stem}.asg").read_text(encoding="utf-8"))
+        assert len(planted.assignment) == inst.n and planted.k == inst.k
+    assert proc.stdout == "verify: all 4 checks passed\n"
+
+
 def test_console_entry_point_round_trip(tmp_path):
     # the installed package must be runnable as python -m eqclus
     inst_f = str(tmp_path / "i.ecl")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqclus import core
 from eqclus.core import (
     Clustering,
     CostValue,
+    Instance,
     InvalidClusteringError,
     InvalidInstanceError,
     Median,
@@ -16,11 +18,13 @@ from eqclus.core import (
     clustering_cost,
     distance_leq_budget,
     extract_full_blocks,
+    identical_groups,
     lp_distance,
     make_instance,
     optimum_median,
     truncated_cost,
 )
+from eqclus.kernel import LiftContext
 
 
 def pts(*rows):
@@ -291,6 +295,56 @@ def test_cost_value_is_exact_beyond_float_range():
     assert big.leq(10 ** 400) and not big.leq(10 ** 400 - 1)
     assert big.truncated(5).exact == 6
     assert (big + CostValue(1)).exact == 10 ** 400 + 1
+
+
+# ---------------------------------------------------------------------------
+# records
+
+def test_records_are_immutable():
+    inst = make_instance([(0,), (1,)], p=1, k=1, B=0)
+    records = [(Point((0,), 0), "id"), (Median((0,)), "coords"), (CostValue(1), "amount"),
+               (Clustering({0: 1, 1: 1}, 1), "k"),
+               (LiftContext("large-no", (0, 1), 1, inst), "branch"), (inst, "points"),
+               (inst, "dim")]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del inst.p
+
+
+def test_records_are_tuples_of_their_fields():
+    pt = Point((1, 2), 7)
+    assert pt == ((1, 2), 7) and hash(pt) == hash(((1, 2), 7))
+    coords, pid = pt
+    assert (coords, pid) == ((1, 2), 7)
+    assert LiftContext("large-no", (0,), 1, None).blocks is None
+
+
+def test_equal_instances_compare_and_hash_alike():
+    a = make_instance([(0, 1), (2, 3)], p=1, k=1, B=2)
+    b = Instance((Point((0, 1), 0), Point((2, 3), 1)), p=1, k=1, B=2)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a.dim == 2
+    assert a != make_instance([(0, 1), (2, 3)], p=1, k=1, B=3)
+    assert a != a.points  # an instance is not a tuple of its fields
+    assert repr(make_instance([(5,)], p=1, k=1, B=0)) == (
+        "Instance(points=(Point(coords=(5,), id=0),), p=1, k=1, B=0, dim=1)")
+
+
+def test_instance_groups_are_computed_once(monkeypatch):
+    calls = []
+
+    def counting(points):
+        calls.append(1)
+        return identical_groups(points)
+
+    monkeypatch.setattr(core, "identical_groups", counting)
+    inst = make_instance([(0,), (0,), (1,), (1,)], p=1, k=2, B=0)
+    other = make_instance([(0,), (0,), (1,), (1,)], p=1, k=2, B=0)
+    assert inst.groups is inst.groups
+    assert len(calls) == 1
+    assert other.groups == inst.groups and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
