@@ -30,7 +30,7 @@ from .core import (
     Median,
     clustering_cost,
 )
-from .exact_large import solve_large
+from .exact_large import in_large_regime, solve_large
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -191,7 +191,7 @@ def _cmd_solve(args) -> int:
     inst = formats.parse_instance(_read_text(args.input))
     method = args.method
     if method == "auto":
-        method = "large" if inst.s >= 4 * inst.B + 1 else "brute"
+        method = "large" if in_large_regime(inst) else "brute"
     if method == "large":
         result = solve_large(inst)
         if result is None:
@@ -259,7 +259,7 @@ def _check_verify_case(case: tuple) -> tuple[str, list[str]]:
     inst = generators.gen_random(n=n, k=k, d=2, coord_bound=bound, p=p, B=B, seed=s)
     violations: list[str] = []
     if suite == "large":
-        if inst.s < 4 * B + 1:
+        if not in_large_regime(inst):
             return desc, [f"internal: parameters leave s={inst.s} < 4B+1"]
         got = solve_large(inst)
         _, opt = oracle.brute_force_opt(inst)

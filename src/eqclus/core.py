@@ -78,56 +78,45 @@ class Median(NamedTuple):
 
 
 class Instance:
-    """A multiset of points with norm index p, cluster count k, and budget B.
+    """A nonempty multiset of points with norm index p, cluster count k, and budget B.
 
-    n must be divisible by k and, for k >= 1, the common cluster size
-    s = n/k must be at least 1. k = 0 is permitted only for the empty
-    remainder left after removing all points in full blocks.
+    k must be at least 1 and divide n, so the common cluster size s = n/k is
+    at least 1; the dimension is read off the first point.
 
-    Immutable, equal and hashed by (points, p, k, B, dim). A plain class
-    rather than a NamedTuple, because the cached `by_id` and `groups` live in
-    the instance's `__dict__`.
+    Immutable, equal and hashed by (points, p, k, B). A plain class rather
+    than a NamedTuple, because the cached `by_id` and `groups` live in the
+    instance's `__dict__`.
     """
 
-    def __init__(self, points: tuple[Point, ...], p: int, k: int, B: int, dim: int = -1):
+    def __init__(self, points: tuple[Point, ...], p: int, k: int, B: int):
         if p < 0:
             raise InvalidInstanceError(f"norm index p must be >= 0, got {p}")
         if B < 0:
             raise InvalidInstanceError(f"budget B must be >= 0, got {B}")
-        if k < 0:
-            raise InvalidInstanceError(f"k must be >= 0, got {k}")
+        if k < 1:
+            raise InvalidInstanceError(f"k must be >= 1, got {k}")
         n = len(points)
-        if k == 0:
-            if n != 0:
-                raise InvalidInstanceError("k = 0 requires an empty point set")
-        else:
-            if n % k != 0:
-                raise InvalidInstanceError(f"n = {n} is not divisible by k = {k}")
-            if n < k:
-                raise InvalidInstanceError(f"need n >= k for cluster size >= 1 (n={n}, k={k})")
-        if n > 0:
-            d0 = len(points[0].coords)
-            if dim == -1:
-                dim = d0
-            for pt in points:
-                if len(pt.coords) != dim:
-                    raise InvalidInstanceError("points of mixed dimension")
-                if type(pt.id) is not int or pt.id < 0:
-                    raise InvalidInstanceError("point ids must be nonnegative integers")
-                for c in pt.coords:
-                    if type(c) is not int:  # bool is an int subclass, and not a coordinate
-                        raise InvalidInstanceError("coordinates must be integers")
-            if dim < 1:
-                raise InvalidInstanceError("dimension must be >= 1")
-            ids = [pt.id for pt in points]
-            if len(set(ids)) != n:
-                raise InvalidInstanceError("point ids must be unique")
-        elif dim == -1:
-            dim = 0
+        if n % k != 0:
+            raise InvalidInstanceError(f"n = {n} is not divisible by k = {k}")
+        if n < k:
+            raise InvalidInstanceError(f"need n >= k for cluster size >= 1 (n={n}, k={k})")
+        dim = len(points[0].coords)
+        for pt in points:
+            if len(pt.coords) != dim:
+                raise InvalidInstanceError("points of mixed dimension")
+            if type(pt.id) is not int or pt.id < 0:
+                raise InvalidInstanceError("point ids must be nonnegative integers")
+            for c in pt.coords:
+                if type(c) is not int:  # bool is an int subclass, and not a coordinate
+                    raise InvalidInstanceError("coordinates must be integers")
+        if dim < 1:
+            raise InvalidInstanceError("dimension must be >= 1")
+        if len({pt.id for pt in points}) != n:
+            raise InvalidInstanceError("point ids must be unique")
         self.__dict__.update(points=points, p=p, k=k, B=B, dim=dim)
 
     def _key(self) -> tuple:
-        return (self.points, self.p, self.k, self.B, self.dim)
+        return (self.points, self.p, self.k, self.B)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -138,8 +127,7 @@ class Instance:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return (f"Instance(points={self.points!r}, p={self.p!r}, k={self.k!r}, "
-                f"B={self.B!r}, dim={self.dim!r})")
+        return f"Instance(points={self.points!r}, p={self.p!r}, k={self.k!r}, B={self.B!r})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -153,8 +141,6 @@ class Instance:
 
     @property
     def s(self) -> int:
-        if self.k == 0:
-            raise InvalidInstanceError("cluster size undefined for k = 0")
         return self.n // self.k
 
     @cached_property
@@ -171,13 +157,13 @@ class Instance:
 
 
 def make_instance(rows: Iterable[Sequence[int]], p: int, k: int, B: int,
-                  ids: Sequence[int] | None = None, dim: int = -1) -> Instance:
+                  ids: Sequence[int] | None = None) -> Instance:
     """Build an Instance from coordinate rows; ids default to 0..n-1."""
     rows = [tuple(row) for row in rows]
     if ids is None:
         ids = range(len(rows))
     pts = tuple(Point(row, i) for row, i in zip(rows, ids, strict=True))
-    return Instance(pts, p=p, k=k, B=B, dim=dim)
+    return Instance(pts, p=p, k=k, B=B)
 
 
 class Clustering(NamedTuple):
@@ -210,8 +196,6 @@ class Clustering(NamedTuple):
             raise InvalidClusteringError(f"clustering has k={self.k}, instance k={inst.k}")
         if set(self.assignment) != set(inst.by_id):
             raise InvalidClusteringError("clustering ids do not match instance ids")
-        if self.k == 0:
-            return
         sizes = Counter(self.assignment.values())
         s = inst.s
         for idx in range(1, self.k + 1):
@@ -405,15 +389,14 @@ def identical_groups(points: Iterable[Point]) -> list[list[Point]]:
     return [sorted(group, key=lambda pt: pt.id) for group in groups.values()]
 
 
-def extract_full_blocks(inst: Instance) -> tuple[list[tuple[Point, ...]], Instance]:
+def extract_full_blocks(inst: Instance) -> tuple[list[tuple[Point, ...]], Instance | None]:
     """Remove blocks of s identical points while any exist; each removal drops k by one.
 
     Distinct coordinate values are scanned in order of first occurrence and the
     lowest-id copies are removed first, so the result is deterministic. The
-    remainder keeps the original ids, point order, p and B.
+    remainder keeps the original ids, point order, p and B; it is None when
+    every point lies in a block.
     """
-    if inst.k == 0:
-        return [], inst
     s = inst.s
     blocks: list[tuple[Point, ...]] = []
     removed: set[int] = set()
@@ -422,6 +405,7 @@ def extract_full_blocks(inst: Instance) -> tuple[list[tuple[Point, ...]], Instan
             block = tuple(copies[b * s:(b + 1) * s])
             blocks.append(block)
             removed.update(pt.id for pt in block)
+    if len(blocks) == inst.k:
+        return blocks, None
     remaining = tuple(pt for pt in inst.points if pt.id not in removed)
-    rest = Instance(remaining, p=inst.p, k=inst.k - len(blocks), B=inst.B, dim=inst.dim)
-    return blocks, rest
+    return blocks, Instance(remaining, p=inst.p, k=inst.k - len(blocks), B=inst.B)

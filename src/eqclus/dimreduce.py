@@ -15,9 +15,10 @@ distinct values in a chained part cannot gap by more than B). Under the
 Hamming norm neither argument holds: a lone coordinate contributes at most 1
 to the distance regardless of the gap, and chained parts may contain
 arbitrarily large values. For p = 0 the pass therefore appends B + 1 sentinel
-coordinates carrying the part index and replaces every kept value by its rank
-among the part's values in that coordinate, which preserves Hamming costs
-exactly. Either way the output dimension stays within k*beta(p,B)*(2B+1) + 1.
+coordinates carrying the part index, or none when a single part leaves
+nothing to keep apart, and replaces every kept value by its rank among the
+part's values in that coordinate, which preserves Hamming costs exactly.
+Either way the output dimension stays within k*beta(p,B)*(2B+1) + 1.
 """
 
 from __future__ import annotations
@@ -123,8 +124,6 @@ def reduce_dimension(inst: Instance) -> Instance | None:
     holding more than k(2B+1) distinct values; both rule out any equal
     k-clustering of cost at most B.
     """
-    if inst.n == 0:
-        raise ValueError("cannot reduce an empty instance")
     k, B, p = inst.k, inst.B, inst.p
     part_ids = greedy_partition(inst)
     if len(part_ids) > k:
@@ -134,7 +133,10 @@ def reduce_dimension(inst: Instance) -> Instance | None:
         if len({pt.coords for pt in pts}) > k * (2 * B + 1):
             return None
     nonuni = [_nonuniform_coords(pts, inst.dim) for pts in parts_pts]
+    sentinel_width = 1 if p else B + 1 if len(parts_pts) > 1 else 0
     ell = max(len(nu) for nu in nonuni)
+    if sentinel_width == 0:  # a lone p = 0 part keeps one coordinate even if all are uniform
+        ell = max(ell, 1)
     kept_coords: list[tuple[int, ...]] = []
     for nu in nonuni:
         kept = set(nu)
@@ -143,7 +145,6 @@ def reduce_dimension(inst: Instance) -> Instance | None:
                 break
             kept.add(h)  # pad with smallest-index uniform coordinates
         kept_coords.append(tuple(sorted(kept)))
-    sentinel_width = B + 1 if p == 0 else 1
     new_coords: dict[int, tuple[int, ...]] = {}
     for j, (pts, rs) in enumerate(zip(parts_pts, kept_coords)):
         projected = {pt.id: [pt.coords[h] for h in rs] for pt in pts}
@@ -158,7 +159,7 @@ def reduce_dimension(inst: Instance) -> Instance | None:
             for pid, row in projected.items():
                 new_coords[pid] = tuple(v - m for v, m in zip(row, mins)) + sentinel
     out_points = tuple(Point(new_coords[pt.id], pt.id) for pt in inst.points)
-    return Instance(out_points, p=p, k=k, B=B, dim=ell + sentinel_width)
+    return Instance(out_points, p=p, k=k, B=B)
 
 
 def coordinate_budget_exponent(p: int, B: int) -> int:

@@ -19,6 +19,11 @@ from .core import (
 )
 
 
+def in_large_regime(inst: Instance) -> bool:
+    """Whether the cluster size is large relative to the budget: s >= 4B + 1."""
+    return inst.s >= 4 * inst.B + 1
+
+
 def solve_large(inst: Instance) -> tuple[Clustering, CostValue] | None:
     """Minimum-cost equal k-clustering when s >= 4B + 1, or None if Opt > B.
 
@@ -31,13 +36,11 @@ def solve_large(inst: Instance) -> tuple[Clustering, CostValue] | None:
     group of points has no candidate within B, or the pruned flow cannot
     place every point, Opt > B.
     """
-    if inst.k == 0:
-        raise ValueError("solver needs k >= 1")
-    if inst.s < 4 * inst.B + 1:
+    if not in_large_regime(inst):
         raise ValueError(f"requires cluster size s >= 4B+1 (s={inst.s}, B={inst.B})")
     blocks, rest = extract_full_blocks(inst)
     block_clusters = [[pt.id for pt in blk] for blk in blocks]
-    if rest.n == 0:
+    if rest is None:
         return Clustering.from_clusters(block_clusters), exact_zero(inst.p)
     candidates = [Median.from_point(grp[0])
                   for grp in rest.groups

@@ -26,7 +26,7 @@ from .core import (
     make_instance,
 )
 from .dimreduce import reduce_dimension
-from .exact_large import solve_large
+from .exact_large import in_large_regime, solve_large
 from .formats import FormatError
 
 BRANCH_LARGE_YES = "large-yes"
@@ -81,7 +81,7 @@ def lossy_kernelize(inst: Instance) -> tuple[Instance, LiftContext]:
     def done(branch: str, kernel: Instance, blocks=None) -> tuple[Instance, LiftContext]:
         return kernel, LiftContext(branch, tuple(inst.ids()), inst.k, kernel, blocks)
 
-    if inst.s >= 4 * inst.B + 1:
+    if in_large_regime(inst):
         solved = solve_large(inst)
         if solved is None:
             return done(BRANCH_LARGE_NO, trivial_no_instance(p))
@@ -94,13 +94,13 @@ def lossy_kernelize(inst: Instance) -> tuple[Instance, LiftContext]:
 
     blocks, rest = extract_full_blocks(reduced)
     block_ids = tuple(tuple(pt.id for pt in blk) for blk in blocks)
+    if rest is None:
+        return done(BRANCH_EMPTY_AFTER_GREEDY, trivial_yes_instance(p), block_ids)
     b_doubled = 2 * inst.B
     if rest.k > b_doubled:
         return done(BRANCH_KPRIME_TOO_BIG, trivial_no_instance(p))
-    if rest.k == 0:
-        return done(BRANCH_EMPTY_AFTER_GREEDY, trivial_yes_instance(p), block_ids)
 
-    rest = Instance(rest.points, p=p, k=rest.k, B=b_doubled, dim=rest.dim)
+    rest = Instance(rest.points, p=p, k=rest.k, B=b_doubled)
     kernel = reduce_dimension(rest)
     if kernel is None:
         return done(BRANCH_DIMREDUCE_NO, trivial_no_instance(p))
@@ -131,7 +131,7 @@ def exact_kernelize(inst: Instance) -> Instance:
     The large regime is solved outright; otherwise one exact dimension
     reduction bounds the dimension and coordinate magnitudes in k and B.
     """
-    if inst.s >= 4 * inst.B + 1:
+    if in_large_regime(inst):
         if solve_large(inst) is None:
             return trivial_no_instance(inst.p)
         return trivial_yes_instance(inst.p)
@@ -152,8 +152,10 @@ def _instance_to_dict(inst: Instance) -> dict:
 
 def _instance_from_dict(d: dict) -> Instance:
     _check_fields(d, _INSTANCE_FIELDS)
-    return make_instance(d["coords"], p=d["p"], k=d["k"], B=d["B"],
-                         ids=d["ids"], dim=d["dim"])
+    inst = make_instance(d["coords"], p=d["p"], k=d["k"], B=d["B"], ids=d["ids"])
+    if inst.dim != d["dim"]:
+        raise FormatError("lift context: the kernel's dim does not match its coordinates")
+    return inst
 
 
 def save_context(ctx: LiftContext, fp: IO[str]) -> None:

@@ -339,7 +339,7 @@ def test_criterion_8_structural_properties():
         inst = gen_random(n=n, k=k, d=1, coord_bound=1, p=attempts % 2, B=2,
                           seed=rng.randrange(10**9))
         blocks, rest = extract_full_blocks(inst)
-        if not blocks or rest.k == 0:
+        if not blocks or rest is None:
             continue
         bound_checked += 1
         _, opt_x = brute_force_opt(inst)

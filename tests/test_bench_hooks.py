@@ -8,9 +8,12 @@ plain module here and never installed.
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import eqclus
 from eqclus.assign import FlowNetwork
@@ -55,3 +58,46 @@ def test_cli_import_loads_every_traced_layer_and_no_dataclasses():
     loaded = set(proc.stdout.split())
     assert [layer for layer in load_tracer().TIMED if f"eqclus.{layer}" not in loaded] == []
     assert {"dataclasses", "eqclus.generators"} & loaded == set()
+
+
+RUN = TRACER.parent / "run.py"
+
+# the per-layer metrics each workload's pipeline calls, so reads as nonzero
+NONZERO_LAYERS = {
+    "large": {
+        "cli.solve_ms", "cli.eval_ms", "formats.parse_instance_ms",
+        "formats.parse_clustering_ms", "formats.format_clustering_ms",
+        "core.extract_full_blocks_ms", "core.clustering_cost_ms",
+        "exact_large.solve_large_ms", "exact_large.candidates",
+        "assign.assign_to_medians_ms", "assign.min_cost_flow_ms", "assign.flow_nodes",
+        "assign.flow_arcs", "assign.flow_volume"},
+    "generic": {
+        "cli.kernelize_ms", "cli.solve_ms", "cli.lift_ms", "cli.eval_ms",
+        "formats.parse_instance_ms", "formats.format_instance_ms",
+        "formats.parse_clustering_ms", "formats.format_clustering_ms",
+        "kernel.lossy_kernelize_ms", "kernel.lift_solution_ms", "kernel.save_context_ms",
+        "kernel.load_context_ms", "kernel.kernel_points", "kernel.kernel_clusters",
+        "kernel.kernel_dim", "dimreduce.reduce_dimension_ms", "dimreduce.greedy_partition_ms",
+        "dimreduce.budget_checks", "dimreduce.parts", "core.extract_full_blocks_ms",
+        "core.clustering_cost_ms", "core.blocks_removed", "oracle.brute_force_opt_ms",
+        "oracle.best_equal_partition_ms", "oracle.partition_count"},
+    "exhaustive": {
+        "cli.solve_ms", "cli.eval_ms", "formats.parse_instance_ms",
+        "formats.parse_clustering_ms", "formats.format_clustering_ms",
+        "core.clustering_cost_ms", "oracle.brute_force_opt_ms",
+        "oracle.best_equal_partition_ms", "oracle.partition_count"},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(NONZERO_LAYERS))
+def test_traced_benchmark_pass_is_correct(workload):
+    # one traced pass of the benchmark's pipeline, on seed 2 so that the
+    # seed-1 result files stay as they are: every output checks, and the
+    # tracer reads every layer the pipeline calls
+    proc = subprocess.run([sys.executable, str(RUN), "--workload", workload,
+                           "--seconds", "0", "--trace", "1", "--seed", "2"],
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stderr
+    nonzero = {name for name, metric in result["metrics"].items() if metric["value"]}
+    assert nonzero == NONZERO_LAYERS[workload]

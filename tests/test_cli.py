@@ -264,6 +264,17 @@ def test_exit_codes(tmp_path, capsys):
     # k does not divide n: infeasible, not a format error
     bad_f = write(tmp_path / "bad.ecl", "ECL 1\n1 1 3 2 0\n0\n1\n2\n")
     assert main(["solve", bad_f]) == EXIT_INFEASIBLE
+    capsys.readouterr()
+    # an instance with no points and no clusters: one error, whatever the command
+    empty_f = write(tmp_path / "empty.ecl", "ECL 1\n1 1 0 0 0\n")
+    ctx_f = str(tmp_path / "empty.ctx")
+    for argv in (["solve", empty_f], ["solve", empty_f, "--method", "large"],
+                 ["solve", empty_f, "--method", "brute"],
+                 ["kernelize", empty_f, "--ctx", ctx_f], ["kernelize", empty_f, "--mode", "exact"],
+                 ["eval", empty_f, write(tmp_path / "empty.asg", "ASSIGN 1 0 1\n")]):
+        assert main(argv) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.splitlines() == ["error: k must be >= 1, got 0"]
+    assert not os.path.exists(ctx_f)
     # usage errors exit with 2 via argparse
     with pytest.raises(SystemExit) as exc:
         main(["kernelize", junk_f, "--mode", "lossy"])
@@ -331,9 +342,9 @@ def _context(branch, blocks=None, solved=None, ids=(0, 1), coords=((0,), (1,))):
                        "original": inst, "kernel": inst, "blocks": blocks, "solved": solved})
 
 
-def _context_v2(branch, ids=(0, 1), k=1, blocks=None):
+def _context_v2(branch, ids=(0, 1), k=1, blocks=None, kernel_dim=1):
     # the original as its ids and k; a kernel of two points, one cluster
-    kernel = {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": (0, 1), "coords": ((0,), (1,))}
+    kernel = {"p": 1, "k": 1, "B": 0, "dim": kernel_dim, "ids": (0, 1), "coords": ((0,), (1,))}
     return json.dumps({"format": "ECLCTX", "version": 2, "branch": branch,
                        "original": {"k": k, "ids": ids}, "kernel": kernel, "blocks": blocks})
 
@@ -355,6 +366,7 @@ def _context_v2(branch, ids=(0, 1), k=1, blocks=None):
     pytest.param(_context_v2("large-no", k=0), id="v2-k-zero"),
     pytest.param(_context_v2("large-no", ids=(0, 1, 2), k=2), id="v2-k-not-dividing-n"),
     pytest.param(_context_v2("large-yes"), id="v2-large-yes-without-blocks"),
+    pytest.param(_context_v2("large-no", kernel_dim=2), id="kernel-dim-disagrees"),
 ])
 def test_lift_rejects_malformed_context(tmp_path, capsys, text):
     ctx_f = write(tmp_path / "ctx.json", text + "\n")

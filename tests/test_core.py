@@ -329,7 +329,7 @@ def test_equal_instances_compare_and_hash_alike():
     assert a != make_instance([(0, 1), (2, 3)], p=1, k=1, B=3)
     assert a != a.points  # an instance is not a tuple of its fields
     assert repr(make_instance([(5,)], p=1, k=1, B=0)) == (
-        "Instance(points=(Point(coords=(5,), id=0),), p=1, k=1, B=0, dim=1)")
+        "Instance(points=(Point(coords=(5,), id=0),), p=1, k=1, B=0)")
 
 
 def test_instance_groups_are_computed_once(monkeypatch):
@@ -354,7 +354,7 @@ def test_extract_two_blocks_of_one_value():
     inst = make_instance([(7,)] * 6, p=1, k=2, B=0)
     blocks, rest = extract_full_blocks(inst)
     assert len(blocks) == 2
-    assert rest.n == 0 and rest.k == 0
+    assert rest is None
 
 
 def test_extract_single_block_hand_trace():
@@ -397,10 +397,12 @@ def test_extract_blocks_partition_property(vals, k):
     for blk in blocks:
         assert len(blk) == s
         assert len({pt.coords for pt in blk}) == 1
-    assert sorted(block_ids + [pt.id for pt in rest.points]) == sorted(inst.ids())
-    assert rest.k == k - len(blocks)
-    # no full block survives in the remainder
-    if rest.n:
+    if rest is None:
+        assert sorted(block_ids) == sorted(inst.ids()) and len(blocks) == k
+    else:
+        assert sorted(block_ids + [pt.id for pt in rest.points]) == sorted(inst.ids())
+        assert rest.k == k - len(blocks)
+        # no full block survives in the remainder
         from collections import Counter
         assert max(Counter(pt.coords for pt in rest.points).values()) < s
     # deterministic

@@ -120,6 +120,18 @@ def test_reduce_uniform_instance_collapses_to_sentinel_only():
     assert all(pt.coords == (0,) for pt in reduced.points)
 
 
+def test_reduce_hamming_sentinels_only_between_parts():
+    # one part: no sentinel, so one ranked coordinate whatever the budget
+    reduced = reduce_dimension(make_instance([(0,), (100,)], p=0, k=1, B=100_000))
+    assert [pt.coords for pt in reduced.points] == [(0,), (1,)]
+    # one uniform part keeps a single coordinate
+    reduced = reduce_dimension(make_instance([(5, 5, 5)] * 6, p=0, k=3, B=2))
+    assert [pt.coords for pt in reduced.points] == [(0,)] * 6
+    # two uniform parts: only the B + 1 sentinels, carrying the part index
+    reduced = reduce_dimension(make_instance([(0, 0), (0, 0), (9, 9), (9, 9)], p=0, k=2, B=1))
+    assert [pt.coords for pt in reduced.points] == [(0, 0)] * 2 + [(1, 1)] * 2
+
+
 def test_reduce_distinct_value_guard():
     # one chained part with more than k(2B+1) = 3 distinct values
     inst = make_instance([(0,), (1,), (2,), (3,)], p=1, k=1, B=1)

@@ -130,7 +130,7 @@ def test_solution_clusters_have_large_identical_cores():
 def dense_solve(inst):
     """solve_large's answer from the dense assignment: every point may go to every candidate."""
     blocks, rest = extract_full_blocks(inst)
-    if rest.n == 0:
+    if rest is None:
         return exact_zero(inst.p)
     candidates = [Median.from_point(grp[0]) for grp in identical_groups(rest.points)
                   if len(grp) >= inst.B + 1]

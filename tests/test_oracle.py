@@ -272,3 +272,14 @@ def test_structure_report_flags_nothing_on_exhaustive_optima():
         best, _ = brute_force_opt(inst)
         report = check_structure(inst, best)
         assert report.ok, report.violations
+
+
+def test_structure_exchange_bound_is_exact_for_p1_at_large_coordinates():
+    # both sides of the exchange bound are 54043195528445957, which a float
+    # comparison rounds apart
+    big = 2 ** 54 - 1
+    rows = [2, big, -2, 0, big, 0, 2 * big + 3, big - 1]
+    inst = make_instance([(v,) for v in rows], p=1, k=4, B=0)
+    clustering = Clustering({0: 1, 1: 1, 4: 2, 5: 2, 6: 3, 7: 3, 2: 4, 3: 4}, 4)
+    report = check_structure(inst, clustering)
+    assert report.violations == []
