@@ -63,7 +63,6 @@ class FlowNetwork:
 class FlowResult(NamedTuple):
     flows: tuple[int, ...]  # per arc, in insertion order
     cost: CostValue
-    volume: int
 
 
 def min_cost_flow(net: FlowNetwork, volume: int) -> FlowResult:
@@ -139,7 +138,7 @@ def min_cost_flow(net: FlowNetwork, volume: int) -> FlowResult:
     total: int | float = 0
     for f, arc in zip(flows, net.arcs):
         total += f * arc.cost
-    return FlowResult(flows, CostValue(total), shipped)
+    return FlowResult(flows, CostValue(total))
 
 
 def assign_to_medians(inst: Instance, medians: Sequence[Median],

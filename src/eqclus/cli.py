@@ -1,8 +1,10 @@
 """Command-line front end over the plain-text formats.
 
 Every command writes all of its outputs or none (`_emit`); "-" is stdin or
-stdout for every file flag, and logs and errors go to stderr. Exit codes: 0
-ok, 1 verification violation, 2 usage, 3 malformed or unusable file, 4
+stdout for every file flag, at most one input and one output each, and logs
+and errors go to stderr. Exit codes: 0 ok, 1 verification violation, 2 usage
+(also two inputs or two outputs on "-"), 3 malformed or unusable file (also a
+clustering that is no equal clustering of its instance or kernel), 4
 infeasible parameters, numeric overflow or guard overflow.
 """
 
@@ -25,7 +27,7 @@ from .assign import assign_to_medians
 from .core import (
     Clustering,
     CostValue,
-    Instance,
+    InvalidClusteringError,
     InvalidInstanceError,
     Median,
     clustering_cost,
@@ -111,13 +113,13 @@ def _clustering_text(c: Clustering, ids: Sequence[int]) -> str:
         Clustering({pos: c.assignment[pid] for pos, pid in enumerate(ids)}, c.k))
 
 
-def _clustering_from_file(text: str, inst: Instance) -> Clustering:
+def _clustering_from_file(text: str, ids: Sequence[int]) -> Clustering:
     positional = formats.parse_clustering(text)
-    if len(positional.assignment) != inst.n:
+    if len(positional.assignment) != len(ids):
         raise formats.FormatError(
-            f"clustering has {len(positional.assignment)} entries, instance has {inst.n}")
-    return Clustering({pt.id: positional.assignment[pos]
-                       for pos, pt in enumerate(inst.points)}, positional.k)
+            f"clustering has {len(positional.assignment)} entries, instance has {len(ids)}")
+    return Clustering({pid: positional.assignment[pos] for pos, pid in enumerate(ids)},
+                      positional.k)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +182,8 @@ def _cmd_kernelize(args) -> int:
 def _cmd_lift(args) -> int:
     ctx = kernel.load_context(io.StringIO(_read_text(args.ctx)))
     kernel_clustering = None
-    if args.input is not None:
-        kernel_clustering = _clustering_from_file(_read_text(args.input), ctx.kernel)
+    if args.input is not None and ctx.branch == kernel.BRANCH_GENERIC:
+        kernel_clustering = _clustering_from_file(_read_text(args.input), ctx.kernel_ids())
     lifted = kernel.lift_solution(ctx, kernel_clustering)
     _emit([(args.out, _clustering_text(lifted, ctx.ids))])
     return EXIT_OK
@@ -218,7 +220,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     inst = formats.parse_instance(_read_text(args.instance))
-    clustering = _clustering_from_file(_read_text(args.clustering), inst)
+    clustering = _clustering_from_file(_read_text(args.clustering), inst.ids())
     cost = clustering_cost(inst, clustering)
     _emit([(None, f"cost {_cost_text(cost)}\ntruncated {_cost_text(cost.truncated(inst.B))}\n")])
     return EXIT_OK
@@ -326,6 +328,7 @@ class UsageError(Exception):
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="eqclus",
                                  description="equal-size k-median clustering toolkit")
+    ap.set_defaults(inputs=())  # the input file arguments of a command that reads two
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a random or planted instance")
@@ -349,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         rd.add_argument("-o", "--out", default=None)
         rd.add_argument("--matching", default=None)
         rd.add_argument("--clustering-out", default=None)
-        rd.set_defaults(func=_cmd_reduce, problem=problem)
+        rd.set_defaults(func=_cmd_reduce, problem=problem, inputs=("input", "matching"))
 
     kz = sub.add_parser("kernelize", help="shrink an instance")
     kz.add_argument("input")
@@ -362,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lf.add_argument("input", nargs="?", default=None)
     lf.add_argument("--ctx", required=True)
     lf.add_argument("-o", "--out", default=None)
-    lf.set_defaults(func=_cmd_lift)
+    lf.set_defaults(func=_cmd_lift, inputs=("input", "ctx"))
 
     sv = sub.add_parser("solve", help="solve an instance")
     sv.add_argument("input")
@@ -370,12 +373,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="auto")
     sv.add_argument("--medians", default=None)
     sv.add_argument("-o", "--out", default=None)
-    sv.set_defaults(func=_cmd_solve)
+    sv.set_defaults(func=_cmd_solve, inputs=("input", "medians"))
 
     ev = sub.add_parser("eval", help="cost and truncated cost of a clustering")
     ev.add_argument("instance")
     ev.add_argument("clustering")
-    ev.set_defaults(func=_cmd_eval)
+    ev.set_defaults(func=_cmd_eval, inputs=("instance", "clustering"))
 
     vf = sub.add_parser("verify", help="run oracle-backed property suites")
     vf.add_argument("--count", type=int, default=5)
@@ -400,11 +403,14 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             ap.error(f"verify --jobs must be >= 1, got {args.jobs}")
     try:
+        # stdin can be read once: a second "-" input would read an empty file
+        if [getattr(args, name) for name in args.inputs].count("-") > 1:
+            raise UsageError("at most one input can come from stdin")
         return args.func(args)
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return EXIT_USAGE
-    except (formats.FormatError, UnicodeDecodeError, OSError) as exc:
+    except (formats.FormatError, InvalidClusteringError, UnicodeDecodeError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_FORMAT
     except (ValueError, OverflowError, oracle.GuardExceededError) as exc:

@@ -47,10 +47,6 @@ class CostValue(NamedTuple):
     def exact(self) -> int | None:
         return self.amount if type(self.amount) is int else None
 
-    @property
-    def value(self) -> float:
-        return float(self.amount)
-
     def __add__(self, other: "CostValue") -> "CostValue":
         return CostValue(self.amount + other.amount)
 
@@ -191,13 +187,15 @@ class Clustering(NamedTuple):
             out[idx - 1].append(pid)
         return out
 
-    def validate_equal(self, inst: Instance) -> None:
-        if self.k != inst.k:
-            raise InvalidClusteringError(f"clustering has k={self.k}, instance k={inst.k}")
-        if set(self.assignment) != set(inst.by_id):
+    def validate_equal(self, ids: Iterable[int], k: int) -> None:
+        """InvalidClusteringError unless this is a partition of `ids` into k equal clusters."""
+        ids = set(ids)
+        if self.k != k:
+            raise InvalidClusteringError(f"clustering has k={self.k}, instance k={k}")
+        if set(self.assignment) != ids:
             raise InvalidClusteringError("clustering ids do not match instance ids")
         sizes = Counter(self.assignment.values())
-        s = inst.s
+        s = len(ids) // k
         for idx in range(1, self.k + 1):
             if sizes.get(idx, 0) != s:
                 raise InvalidClusteringError(
@@ -355,7 +353,7 @@ def optimum_median(points: Sequence[Point], p: int) -> tuple[Median, CostValue]:
 
 def clustering_cost(inst: Instance, c: Clustering) -> CostValue:
     """Cost of an equal clustering, each cluster priced at its optimum median."""
-    c.validate_equal(inst)
+    c.validate_equal(inst.by_id, inst.k)
     total = exact_zero(inst.p)
     for members in c.clusters():
         pts = [inst.by_id[i] for i in members]
@@ -371,7 +369,7 @@ def truncated_cost(inst: Instance, c: Clustering) -> CostValue:
 
 def cost_with_medians(inst: Instance, c: Clustering, medians: Sequence[Median]) -> CostValue:
     """Cost of a clustering priced at the given centers (cluster i at medians[i])."""
-    c.validate_equal(inst)
+    c.validate_equal(inst.by_id, inst.k)
     if len(medians) != c.k:
         raise ValueError(f"need {c.k} medians, got {len(medians)}")
     total = exact_zero(inst.p)

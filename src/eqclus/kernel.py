@@ -6,11 +6,13 @@ dimension-reduced exactly, full blocks of s identical points are greedily
 stripped into free clusters with the budget doubled to pay for the
 approximation, and the survivors are dimension-reduced once more so the
 kernel's size depends on the budget alone. Both reductions and the block
-removal keep point ids, so lifting is index work alone: a context carries the
-original's ids and k, the kernel, and on a YES branch the clusters fixed
-before the kernel (the removed blocks, or the large-regime optimum). A NO
-branch lifts to an arbitrary clustering; a YES branch lifts to the fixed
-clusters followed by the kernel's clusters.
+removal keep point ids and point order, so lifting is index work alone: a
+context carries the original's ids and k, and on a YES branch the clusters
+fixed before the kernel (the removed blocks, or the large-regime optimum).
+The generic kernel's points are the original's less the blocks', in input
+order (`LiftContext.kernel_ids`). A NO branch lifts to an arbitrary
+clustering; a YES branch lifts to the fixed clusters followed by the kernel's
+clusters.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ BRANCH_KPRIME_TOO_BIG = "kprime-too-big"
 BRANCH_GENERIC = "generic"
 
 CONTEXT_FORMAT = "ECLCTX"
-CONTEXT_VERSION = 2
+CONTEXT_VERSION = 3
 # branches whose lift puts fixed clusters (ctx.blocks) first; the others lift arbitrarily
 YES_BRANCHES = (BRANCH_LARGE_YES, BRANCH_EMPTY_AFTER_GREEDY, BRANCH_GENERIC)
 
@@ -48,8 +50,13 @@ class LiftContext(NamedTuple):
     branch: str
     ids: tuple[int, ...]  # the original's point ids, in input order
     k: int                # the original's cluster count
-    kernel: Instance
     blocks: tuple[tuple[int, ...], ...] | None = None  # fixed clusters of a YES branch
+
+    def kernel_ids(self) -> list[int]:
+        """The generic kernel's point ids, in its point order: the original's ids
+        less the blocks', in input order."""
+        removed = {pid for blk in self.blocks for pid in blk}
+        return [pid for pid in self.ids if pid not in removed]
 
 
 def trivial_no_instance(p: int) -> Instance:
@@ -79,7 +86,7 @@ def lossy_kernelize(inst: Instance) -> tuple[Instance, LiftContext]:
     p = inst.p
 
     def done(branch: str, kernel: Instance, blocks=None) -> tuple[Instance, LiftContext]:
-        return kernel, LiftContext(branch, tuple(inst.ids()), inst.k, kernel, blocks)
+        return kernel, LiftContext(branch, tuple(inst.ids()), inst.k, blocks)
 
     if in_large_regime(inst):
         solved = solve_large(inst)
@@ -120,7 +127,7 @@ def lift_solution(ctx: LiftContext, kernel_clustering: Clustering | None) -> Clu
     if ctx.branch == BRANCH_GENERIC:
         if kernel_clustering is None:
             raise InvalidClusteringError("generic branch needs a kernel clustering")
-        kernel_clustering.validate_equal(ctx.kernel)
+        kernel_clustering.validate_equal(ctx.kernel_ids(), ctx.k - len(ctx.blocks))
         rest = kernel_clustering.clusters()
     return Clustering.from_clusters([*ctx.blocks, *rest])
 
@@ -144,35 +151,19 @@ def exact_kernelize(inst: Instance) -> Instance:
 # ---------------------------------------------------------------------------
 # serialization, so kernelize / lift can run as separate CLI invocations
 
-def _instance_to_dict(inst: Instance) -> dict:
-    return {"p": inst.p, "k": inst.k, "B": inst.B, "dim": inst.dim,
-            "ids": [pt.id for pt in inst.points],
-            "coords": [list(pt.coords) for pt in inst.points]}
-
-
-def _instance_from_dict(d: dict) -> Instance:
-    _check_fields(d, _INSTANCE_FIELDS)
-    inst = make_instance(d["coords"], p=d["p"], k=d["k"], B=d["B"], ids=d["ids"])
-    if inst.dim != d["dim"]:
-        raise FormatError("lift context: the kernel's dim does not match its coordinates")
-    return inst
-
-
 def save_context(ctx: LiftContext, fp: IO[str]) -> None:
     doc = {
         "format": CONTEXT_FORMAT,
         "version": CONTEXT_VERSION,
         "branch": ctx.branch,
         "original": {"k": ctx.k, "ids": list(ctx.ids)},
-        "kernel": _instance_to_dict(ctx.kernel),
         "blocks": [list(b) for b in ctx.blocks] if ctx.blocks is not None else None,
     }
     fp.write(json.dumps(doc) + "\n")
 
 
 # JSON type of every field load_context reads, per object
-_CONTEXT_FIELDS = {"branch": str, "original": dict, "kernel": dict, "blocks": (list, type(None))}
-_INSTANCE_FIELDS = {"p": int, "k": int, "B": int, "dim": int, "ids": list, "coords": list}
+_CONTEXT_FIELDS = {"branch": str, "original": dict, "blocks": (list, type(None))}
 _BRANCHES = (BRANCH_LARGE_NO, BRANCH_DIMREDUCE_NO, BRANCH_KPRIME_TOO_BIG, *YES_BRANCHES)
 
 
@@ -198,24 +189,25 @@ def _v1_solved_clusters(doc: dict) -> list[list[int]]:
 
 
 def _check_lifted_ids(ctx: LiftContext) -> None:
-    """FormatError unless lifting yields an equal clustering of the original's ids."""
+    """FormatError unless the blocks are disjoint clusters of the original's ids, of
+    size s, that leave a kernel on the generic branch and every id on the others."""
     if ctx.branch not in YES_BRANCHES:
         return
     ids = [pid for blk in ctx.blocks for pid in blk]
-    clusters = len(ctx.blocks)
-    if ctx.branch == BRANCH_GENERIC:
-        ids += ctx.kernel.ids()
-        clusters += ctx.kernel.k
-    if sorted(ids) != sorted(ctx.ids):
-        raise FormatError("lift context: blocks and kernel ids do not partition the original's ids")
+    if len(set(ids)) != len(ids) or not set(ids) <= set(ctx.ids):
+        raise FormatError("lift context: the blocks are not disjoint sets of the original's ids")
     s = len(ctx.ids) // ctx.k
-    if clusters != ctx.k or any(len(blk) != s for blk in ctx.blocks):
-        raise FormatError("lift context: blocks and kernel clusters do not fit the original's k")
+    fits = len(ctx.blocks) < ctx.k if ctx.branch == BRANCH_GENERIC else len(ctx.blocks) == ctx.k
+    if not fits or any(len(blk) != s for blk in ctx.blocks):
+        raise FormatError("lift context: the blocks do not fit the original's k")
 
 
 def load_context(fp: IO[str]) -> LiftContext:
-    """Read a context of version 2 or 1, whose original was a whole instance and whose
-    large-yes optimum was a clustering; FormatError if the file is anything else."""
+    """Read a context of version 3, 2 or 1; FormatError if the file is anything else.
+
+    Versions 1 and 2 also stored the kernel, which is ignored, as are version
+    1's original coordinates; version 1 stored a large-yes optimum as a
+    clustering."""
     try:
         doc = json.load(fp)
     except ValueError as exc:  # also bytes that are not UTF-8
@@ -223,8 +215,8 @@ def load_context(fp: IO[str]) -> LiftContext:
     if not isinstance(doc, dict):
         raise FormatError("lift context: not a JSON object")
     _check_fields(doc, {"format": str, "version": int})
-    if doc["format"] != CONTEXT_FORMAT or doc["version"] not in (1, CONTEXT_VERSION):
-        raise FormatError(f"lift context: not an {CONTEXT_FORMAT} version 1 or "
+    if doc["format"] != CONTEXT_FORMAT or doc["version"] not in (1, 2, CONTEXT_VERSION):
+        raise FormatError(f"lift context: not an {CONTEXT_FORMAT} version 1, 2 or "
                           f"{CONTEXT_VERSION} file")
     _check_fields(doc, _CONTEXT_FIELDS)
     branch = doc["branch"]
@@ -247,7 +239,6 @@ def load_context(fp: IO[str]) -> LiftContext:
             branch=branch,
             ids=tuple(ids),
             k=k,
-            kernel=_instance_from_dict(doc["kernel"]),
             blocks=tuple(tuple(b) for b in blocks) if blocks is not None else None,
         )
         _check_lifted_ids(ctx)

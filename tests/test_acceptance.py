@@ -161,7 +161,7 @@ def _run_lossy_batch():
         kern, ctx = lossy_kernelize(inst)
         kernel_best, _ = brute_force_opt(kern)
         lifted = lift_solution(ctx, kernel_best)
-        lifted.validate_equal(inst)
+        lifted.validate_equal(inst.ids(), inst.k)
         lift_trunc = truncated_cost(inst, lifted).exact
         if not opt_trunc <= lift_trunc <= 2 * opt_trunc:
             failures.append(f"lifted {lift_trunc} outside [{opt_trunc}, {2 * opt_trunc}]")

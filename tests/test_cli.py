@@ -76,7 +76,7 @@ def test_kernelize_solve_lift_pipeline(tmp_path, capsys):
 
     with open(out_f, encoding="utf-8") as fh:
         lifted = parse_clustering(fh.read())
-    lifted.validate_equal(inst)
+    lifted.validate_equal(inst.ids(), inst.k)
 
 
 # each command with two outputs: argv for inputs in tmp_path and the two output flags
@@ -149,8 +149,9 @@ def test_kernelize_context_to_stdout(tmp_path, capsys, monkeypatch):
     assert main(["solve", "k.ecl", "--method", "brute", "-o", "ks.assign"]) == EXIT_OK
     monkeypatch.setattr(sys, "stdin", io.StringIO(ctx_text))
     assert main(["lift", "ks.assign", "--ctx", "-", "-o", "l.assign"]) == EXIT_OK
+    inst = parse_instance((tmp_path / "inst.ecl").read_text(encoding="utf-8"))
     parse_clustering((tmp_path / "l.assign").read_text(encoding="utf-8")).validate_equal(
-        parse_instance((tmp_path / "inst.ecl").read_text(encoding="utf-8")))
+        inst.ids(), inst.k)
     assert not (tmp_path / "-").exists()
 
 
@@ -342,11 +343,14 @@ def _context(branch, blocks=None, solved=None, ids=(0, 1), coords=((0,), (1,))):
                        "original": inst, "kernel": inst, "blocks": blocks, "solved": solved})
 
 
-def _context_v2(branch, ids=(0, 1), k=1, blocks=None, kernel_dim=1):
-    # the original as its ids and k; a kernel of two points, one cluster
-    kernel = {"p": 1, "k": 1, "B": 0, "dim": kernel_dim, "ids": (0, 1), "coords": ((0,), (1,))}
-    return json.dumps({"format": "ECLCTX", "version": 2, "branch": branch,
-                       "original": {"k": k, "ids": ids}, "kernel": kernel, "blocks": blocks})
+def _context_by_ids(branch, ids=(0, 1), k=1, blocks=None, version=2):
+    # the original as its ids and k; version 2 also stored a kernel, here of
+    # two points and one cluster
+    doc = {"format": "ECLCTX", "version": version, "branch": branch,
+           "original": {"k": k, "ids": ids}, "blocks": blocks}
+    if version == 2:
+        doc["kernel"] = {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": (0, 1), "coords": ((0,), (1,))}
+    return json.dumps(doc)
 
 
 @pytest.mark.parametrize("text", [
@@ -358,21 +362,86 @@ def _context_v2(branch, ids=(0, 1), k=1, blocks=None, kernel_dim=1):
     pytest.param(_context("large-yes", solved={"k": 1, "assignment": {"0": 1.5, "1": 1}}),
                  id="fractional-cluster-index"),
     pytest.param(_context("dimreduce-no", ids=(0.5, 1.5)), id="fractional-ids"),
-    pytest.param(_context("dimreduce-no", coords=((0.25,), (1.25,))), id="fractional-coords"),
-    pytest.param(_context("dimreduce-no", coords=((False,), (True,))), id="bool-coords"),
-    pytest.param(_context_v2("large-no", ids=(0, 0)), id="v2-duplicate-ids"),
-    pytest.param(_context_v2("large-no", ids=(-1, 0)), id="v2-negative-id"),
-    pytest.param(_context_v2("large-no", ids=(False, True)), id="v2-bool-ids"),
-    pytest.param(_context_v2("large-no", k=0), id="v2-k-zero"),
-    pytest.param(_context_v2("large-no", ids=(0, 1, 2), k=2), id="v2-k-not-dividing-n"),
-    pytest.param(_context_v2("large-yes"), id="v2-large-yes-without-blocks"),
-    pytest.param(_context_v2("large-no", kernel_dim=2), id="kernel-dim-disagrees"),
+    pytest.param(_context_by_ids("large-no", ids=(0, 0)), id="v2-duplicate-ids"),
+    pytest.param(_context_by_ids("large-no", ids=(-1, 0)), id="v2-negative-id"),
+    pytest.param(_context_by_ids("large-no", ids=(False, True)), id="v2-bool-ids"),
+    pytest.param(_context_by_ids("large-no", k=0), id="v2-k-zero"),
+    pytest.param(_context_by_ids("large-no", ids=(0, 1, 2), k=2), id="v2-k-not-dividing-n"),
+    pytest.param(_context_by_ids("large-yes"), id="v2-large-yes-without-blocks"),
+    pytest.param(_context_by_ids("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1], [2, 3]],
+                                 version=3), id="v3-generic-blocks-leave-no-kernel"),
+    pytest.param(_context_by_ids("large-yes", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1]],
+                                 version=3), id="v3-large-yes-too-few-blocks"),
+    pytest.param(_context_by_ids("large-yes", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1], [1, 2]],
+                                 version=3), id="v3-overlapping-blocks"),
+    pytest.param(_context_by_ids("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0]], version=3),
+                 id="v3-block-of-wrong-size"),
+    pytest.param(_context_by_ids("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1]], version=4),
+                 id="v4"),
 ])
 def test_lift_rejects_malformed_context(tmp_path, capsys, text):
     ctx_f = write(tmp_path / "ctx.json", text + "\n")
     assert main(["lift", "--ctx", ctx_f]) == EXIT_FORMAT
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: lift context:")
+
+
+# each command that reads two inputs, both from stdin, and what stdin holds
+TWO_STDIN_INPUTS = {
+    "eval": (["eval", "-", "-"], "inst.ecl"),
+    "lift": (["lift", "-", "--ctx", "-"], "inst.ctx"),
+    "solve": (["solve", "-", "--method", "matching", "--medians", "-"], "inst.ecl"),
+    "reduce-rsm": (["reduce-rsm", "-", "--matching", "-"], "h.rsm"),
+    "reduce-3dm": (["reduce-3dm", "-", "--matching", "-"], "t.tdm"),
+}
+
+
+@pytest.mark.parametrize("command", TWO_STDIN_INPUTS)
+def test_two_inputs_from_stdin_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # stdin can be read once, so the second input would be an empty file
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["kernelize", "inst.ecl", "-o", "inst.kern", "--ctx", "inst.ctx"]) == EXIT_OK
+    capsys.readouterr()
+    argv, stdin_file = TWO_STDIN_INPUTS[command]
+    monkeypatch.setattr(sys, "stdin", io.StringIO((tmp_path / stdin_file).read_text()))
+    before = _tree(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: at most one input can come from stdin\n"
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, clustering", [
+    pytest.param("eval", "ASSIGN 1 12 2\n" + "1\n2\n" * 6, id="eval-wrong-k"),
+    pytest.param("eval", "ASSIGN 1 12 3\n" + "1\n" * 5 + "2\n" * 3 + "3\n" * 4,
+                 id="eval-wrong-size"),
+    pytest.param("eval", "ASSIGN 1 11 3\n" + "1\n2\n3\n" * 3 + "1\n2\n",
+                 id="eval-wrong-count"),
+    pytest.param("lift", "ASSIGN 1 8 1\n" + "1\n" * 8, id="lift-wrong-k"),
+    pytest.param("lift", "ASSIGN 1 8 2\n" + "1\n" * 5 + "2\n" * 3, id="lift-wrong-size"),
+    pytest.param("lift", "ASSIGN 1 12 3\n" + "1\n2\n3\n" * 4, id="lift-wrong-count"),
+    pytest.param("lift", None, id="lift-no-kernel-clustering"),
+])
+def test_clustering_that_does_not_fit_is_a_file_error(tmp_path, capsys, monkeypatch,
+                                                       command, clustering):
+    # the instance has 12 points in 3 clusters; its generic kernel 8 in 2
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["kernelize", "inst.ecl", "-o", "inst.kern", "--ctx", "inst.ctx"]) == EXIT_OK
+    assert json.loads((tmp_path / "inst.ctx").read_text())["branch"] == "generic"
+    capsys.readouterr()
+    files = [] if clustering is None else [write(tmp_path / "c.assign", clustering)]
+    if command == "eval":
+        argv = ["eval", "inst.ecl", *files]
+    else:
+        argv = ["lift", *files, "--ctx", "inst.ctx", "-o", "lifted.assign"]
+    assert main(argv) == EXIT_FORMAT
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "lifted.assign").exists()
 
 
 @pytest.mark.parametrize("argv, text", [

@@ -79,9 +79,9 @@ small_json = st.recursive(
 
 @st.composite
 def lift_inputs(draw):
-    """A context of the shape save_context writes now (version 2) or wrote
-    before (version 1), with up to two fields replaced by junk, and a kernel
-    clustering that fits it or not."""
+    """A context of the shape save_context writes now (version 3) or wrote
+    before (versions 1 and 2, which also stored the kernel), with up to two
+    fields replaced by junk, and a kernel clustering that fits it or not."""
     n, k = draw(equal_size(3, 9))
     s = n // k if k and n >= k and n % k == 0 else 1
     dim = draw(st.integers(1, 2))
@@ -93,14 +93,15 @@ def lift_inputs(draw):
                 "B": draw(st.integers(0, 3)), "dim": dim, "ids": members,
                 "coords": [coords[i] for i in members]}
 
-    version, branch = draw(st.sampled_from([1, 2])), draw(st.sampled_from(BRANCHES))
+    version, branch = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from(BRANCHES))
     blocks = [ids[j:j + s] for j in range(0, draw(st.integers(0, k)) * s, s)]
-    if version == 2 and branch == "large-yes":  # the optimum's clusters are the blocks
+    if version >= 2 and branch == "large-yes":  # the optimum's clusters are the blocks
         blocks = [ids[j:j + s] for j in range(0, len(ids) // s * s, s)]
     rest = ids[sum(map(len, blocks)):]
     doc = {"format": "ECLCTX", "version": version, "branch": branch,
-           "original": {"k": k, "ids": ids}, "kernel": inst(rest, k - len(blocks)),
-           "blocks": blocks}
+           "original": {"k": k, "ids": ids}, "blocks": blocks}
+    if version <= 2:
+        doc["kernel"] = inst(rest, k - len(blocks))
     if version == 1:
         doc["original"] = inst(ids, k)
         doc["solved"] = {"k": k,

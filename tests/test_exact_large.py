@@ -21,7 +21,7 @@ def test_all_identical_points_zero_cost():
     inst = make_instance([(3, 3)] * 8, p=0, k=2, B=0)
     clustering, cost = solve_large(inst)
     assert cost.exact == 0
-    clustering.validate_equal(inst)
+    clustering.validate_equal(inst.ids(), inst.k)
     assert clustering_cost(inst, clustering).exact == 0
 
 
@@ -68,8 +68,8 @@ def test_euclidean_norm_supported():
     inst = make_instance([(0,)] * 5 + [(5,)] * 4 + [(6,)], p=2, k=2, B=1)
     clustering, cost = solve_large(inst)
     assert cost.exact is None
-    assert cost.value == pytest.approx(1.0)
-    clustering.validate_equal(inst)
+    assert cost.amount == pytest.approx(1.0)
+    clustering.validate_equal(inst.ids(), inst.k)
 
 
 def test_budget_zero_requires_k_distinct_values():
@@ -102,7 +102,7 @@ def test_agrees_with_exhaustive_search(p):
             yes += 1
             assert opt.exact <= B
             assert got[1].exact == opt.exact
-            got[0].validate_equal(inst)
+            got[0].validate_equal(inst.ids(), inst.k)
             assert clustering_cost(inst, got[0]).exact == opt.exact
     assert yes and no  # both verdicts must actually occur
 
@@ -169,9 +169,9 @@ def test_pruned_assignment_matches_dense(p):
         assert (got is None) == (want is None)
         if got is None:
             continue
-        got[0].validate_equal(inst)
+        got[0].validate_equal(inst.ids(), inst.k)
         if p <= 1:
             assert got[1].exact == want.exact
         else:
-            assert got[1].value == pytest.approx(want.value)
+            assert got[1].amount == pytest.approx(want.amount)
     assert verdicts[True] >= 20 and verdicts[False] >= 20

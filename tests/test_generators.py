@@ -87,7 +87,7 @@ def test_figure_planted_matching_costs_exactly_budget():
     h = figure_hypergraph()
     inst = reduce_rsm(h)
     planted = planted_rsm_clustering(h, [1, 2])
-    planted.validate_equal(inst)
+    planted.validate_equal(inst.ids(), inst.k)
     assert clustering_cost(inst, planted).exact == inst.B == 42
     assert truncated_cost(inst, planted).exact == 42
 
@@ -166,7 +166,7 @@ def test_tdm_planted_matching_costs_seven_per_element():
     t = small_tdm()
     inst = reduce_3dm(t)
     planted = planted_3dm_clustering(t, [1, 2])
-    planted.validate_equal(inst)
+    planted.validate_equal(inst.ids(), inst.k)
     assert clustering_cost(inst, planted).exact == 7 * t.num_elements
 
 

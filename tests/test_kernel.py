@@ -44,7 +44,7 @@ def test_identical_points_small_regime_empty_after_greedy():
     kern, ctx = lossy_kernelize(inst)
     assert ctx.branch == BRANCH_EMPTY_AFTER_GREEDY
     lifted = lift_solution(ctx, None)
-    lifted.validate_equal(inst)
+    lifted.validate_equal(inst.ids(), inst.k)
     assert clustering_cost(inst, lifted).exact == 0
 
 
@@ -65,7 +65,7 @@ def test_large_regime_no_branch_emits_trivial_no_instance():
     assert kern.k == 1 and kern.B == 0
     assert brute_force_opt(kern)[1].exact > kern.B
     lifted = lift_solution(ctx, None)
-    lifted.validate_equal(inst)
+    lifted.validate_equal(inst.ids(), inst.k)
 
 
 def test_small_regime_too_many_surviving_clusters_is_a_no():
@@ -84,9 +84,30 @@ def test_generic_branch_hand_trace():
     assert kern.n == 8 and kern.k == 2 and kern.B == 8
     assert ctx.blocks is not None and len(ctx.blocks) == 1
     lifted, _ = lifted_optimal(inst)
-    lifted.validate_equal(inst)
+    lifted.validate_equal(inst.ids(), inst.k)
     _, opt = brute_force_opt(inst)
     assert truncated_cost(inst, lifted).exact <= 2 * min(opt.exact, inst.B + 1)
+
+
+def test_context_derives_the_generic_kernels_ids():
+    # the kernel keeps the original's point order less the blocks, whatever the ids
+    rng = random.Random(4242)
+    seen = 0
+    for _ in range(120):
+        n, k = rng.choice([(8, 4), (12, 6), (12, 4), (12, 3), (8, 2)])
+        B = rng.randint(1, 3)
+        if n // k > 4 * B:
+            continue
+        rows = [[rng.randint(0, rng.randint(1, 3)) for _ in range(2)] for _ in range(n)]
+        ids = None if rng.random() < 0.3 else rng.sample(range(3 * n), n)
+        inst = make_instance(rows, p=rng.choice([0, 1]), k=k, B=B, ids=ids)
+        kern, ctx = lossy_kernelize(inst)
+        if ctx.branch != BRANCH_GENERIC:
+            continue
+        seen += 1
+        assert kern.ids() == ctx.kernel_ids()
+        assert kern.k == ctx.k - len(ctx.blocks)
+    assert seen >= 20
 
 
 def test_kernel_size_bounds_on_generic_branch():
@@ -123,7 +144,7 @@ def test_lifted_optimum_is_within_factor_two(p):
         inst = gen_random(n=n, k=k, d=rng.randint(1, 2), coord_bound=rng.randint(1, 4),
                           p=p, B=B, seed=rng.randrange(10**6))
         lifted, ctx = lifted_optimal(inst)
-        lifted.validate_equal(inst)
+        lifted.validate_equal(inst.ids(), inst.k)
         _, opt = brute_force_opt(inst)
         opt_trunc = min(opt.exact, B + 1)
         lift_trunc = truncated_cost(inst, lifted).exact
@@ -245,8 +266,9 @@ def test_context_round_trip_through_text():
         save_context(ctx, buf)
         assert buf.getvalue().count("\n") == 1 and buf.getvalue().endswith("\n")
         doc = json.loads(buf.getvalue())
-        # version 2 keeps of the original only what lifting reads
-        assert doc["version"] == 2 and "solved" not in doc
+        # version 3 keeps of the original only what lifting reads, and no kernel
+        assert doc["version"] == 3 and "solved" not in doc and "kernel" not in doc
+        assert doc.keys() == {"format", "version", "branch", "original", "blocks"}
         assert doc["original"] == {"k": inst.k, "ids": inst.ids()}
         loaded = load_context(io.StringIO(buf.getvalue()))
         assert loaded == ctx
@@ -275,16 +297,37 @@ def test_context_with_reduce_maps_still_lifts():
     buf = io.StringIO()
     save_context(ctx, buf)
     assert json.loads(buf.getvalue()).keys().isdisjoint({"first_map", "second_map"})
-    # the stored kernel is one part under p = 0 and ends in its B' + 1 = 3
-    # sentinel coordinates, which a fresh kernelization of a lone part leaves out
-    stored = loaded.kernel
-    assert {pt.coords[-3:] for pt in stored.points} == {(0, 0, 0)}
-    assert kern == make_instance([pt.coords[:-3] for pt in stored.points], p=stored.p,
-                                 k=stored.k, B=stored.B, ids=stored.ids())
-    assert loaded == ctx._replace(kernel=stored) and loaded.branch == BRANCH_GENERIC
+    # the stored kernel, which the reader ignores, is one part under p = 0 and
+    # ends in its B' + 1 = 3 sentinel coordinates, which a fresh kernelization
+    # of a lone part leaves out
+    stored = doc["kernel"]
+    assert {tuple(c[-3:]) for c in stored["coords"]} == {(0, 0, 0)}
+    assert kern == make_instance([c[:-3] for c in stored["coords"]], p=stored["p"],
+                                 k=stored["k"], B=stored["B"], ids=stored["ids"])
+    assert loaded == ctx and loaded.branch == BRANCH_GENERIC
+    assert loaded.kernel_ids() == stored["ids"]
     sol, _ = brute_force_opt(kern)
     lifted = lift_solution(loaded, sol)
     assert [lifted.assignment[i] for i in range(12)] == [2, 3, 1, 2, 2, 1, 1, 2, 1, 3, 3, 3]
+
+
+def test_version_2_generic_context_lifts_to_its_pinned_clustering():
+    # written by `eqclus gen --n 12 --k 3 --d 2 --p 1 --B 2 --seed 1 --coord-bound 2`
+    # and `kernelize --mode lossy` while contexts were version 2 and also stored
+    # the kernel; the reader ignores it and derives the kernel's ids
+    text = (Path(__file__).parent / "data" / "generic_context_v2.json").read_text()
+    doc = json.loads(text)
+    assert doc["version"] == 2 and doc["branch"] == BRANCH_GENERIC
+    stored = doc["kernel"]
+    loaded = load_context(io.StringIO(text))
+    assert loaded.blocks == ((2, 5, 6, 8),)
+    assert loaded.kernel_ids() == stored["ids"] and loaded.k - len(loaded.blocks) == stored["k"]
+    kern = make_instance(stored["coords"], p=stored["p"], k=stored["k"], B=stored["B"],
+                         ids=stored["ids"])
+    sol, _ = brute_force_opt(kern)
+    lifted = lift_solution(loaded, sol)
+    # the clustering the version 2 code lifted this context to
+    assert [lifted.assignment[i] for i in range(12)] == [2, 2, 1, 2, 3, 1, 1, 2, 1, 3, 3, 3]
 
 
 def test_version_1_large_yes_context_lifts_through_blocks():
