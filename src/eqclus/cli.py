@@ -18,14 +18,12 @@ import io
 import os
 import sys
 import time
-from typing import Sequence
 
 # generators is imported only by the commands that use it (gen, reduce-*,
 # verify): it imports dataclasses, which every other command would pay for
 from . import formats, kernel, oracle
 from .assign import assign_to_medians
 from .core import (
-    Clustering,
     CostValue,
     InvalidClusteringError,
     InvalidInstanceError,
@@ -107,21 +105,6 @@ def _cost_text(cost: CostValue) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _clustering_text(c: Clustering, ids: Sequence[int]) -> str:
-    # clustering files are positional: line i describes the point with id ids[i]
-    return formats.format_clustering(
-        Clustering({pos: c.assignment[pid] for pos, pid in enumerate(ids)}, c.k))
-
-
-def _clustering_from_file(text: str, ids: Sequence[int]) -> Clustering:
-    positional = formats.parse_clustering(text)
-    if len(positional.assignment) != len(ids):
-        raise formats.FormatError(
-            f"clustering has {len(positional.assignment)} entries, instance has {len(ids)}")
-    return Clustering({pid: positional.assignment[pos] for pos, pid in enumerate(ids)},
-                      positional.k)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -141,7 +124,7 @@ def _cmd_gen(args) -> int:
                                      B=args.B, seed=args.seed)
     outputs = [(args.out, formats.format_instance(inst))]
     if args.planted and args.planted_out:
-        outputs.append((args.planted_out, _clustering_text(planted, inst.ids())))
+        outputs.append((args.planted_out, formats.format_clustering(planted, inst.ids())))
     _emit(outputs)
     return EXIT_OK
 
@@ -160,7 +143,7 @@ def _cmd_reduce(args) -> int:
     outputs = [(args.out, formats.format_instance(inst))]
     if args.matching:
         planted = plant(problem, formats.parse_matching(_read_text(args.matching)))
-        outputs.append((args.clustering_out, _clustering_text(planted, inst.ids())))
+        outputs.append((args.clustering_out, formats.format_clustering(planted, inst.ids())))
     _emit(outputs)
     return EXIT_OK
 
@@ -183,9 +166,9 @@ def _cmd_lift(args) -> int:
     ctx = kernel.load_context(io.StringIO(_read_text(args.ctx)))
     kernel_clustering = None
     if args.input is not None and ctx.branch == kernel.BRANCH_GENERIC:
-        kernel_clustering = _clustering_from_file(_read_text(args.input), ctx.kernel_ids())
+        kernel_clustering = formats.parse_clustering(_read_text(args.input), ctx.kernel_ids())
     lifted = kernel.lift_solution(ctx, kernel_clustering)
-    _emit([(args.out, _clustering_text(lifted, ctx.ids))])
+    _emit([(args.out, formats.format_clustering(lifted, ctx.ids))])
     return EXIT_OK
 
 
@@ -213,14 +196,14 @@ def _cmd_solve(args) -> int:
         clustering, cost = assign_to_medians(inst, medians)
     outputs = [(None, f"cost {_cost_text(cost)}\n")]
     if args.out:
-        outputs.append((args.out, _clustering_text(clustering, inst.ids())))
+        outputs.append((args.out, formats.format_clustering(clustering, inst.ids())))
     _emit(outputs)
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     inst = formats.parse_instance(_read_text(args.instance))
-    clustering = _clustering_from_file(_read_text(args.clustering), inst.ids())
+    clustering = formats.parse_clustering(_read_text(args.clustering), inst.ids())
     cost = clustering_cost(inst, clustering)
     _emit([(None, f"cost {_cost_text(cost)}\ntruncated {_cost_text(cost.truncated(inst.B))}\n")])
     return EXIT_OK

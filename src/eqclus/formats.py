@@ -3,14 +3,18 @@
 All formats are UTF-8 and whitespace-separated with a literal header token.
 
   instance:    ECL 1        then  p d n k B  and n lines of d integers
-  clustering:  ASSIGN 1 n k then  n lines, line i = cluster of point id i-1
+  clustering:  ASSIGN 1 n k then  n lines, line i = cluster of the i-th point
   hypergraph:  RSM r n m    then  m lines of r vertex indices (1-based)
   3DM system:  TDM n m      then  m lines x y z (1-based per side)
+
+A clustering file holds no ids: it is read and written against the ids of the
+points it clusters (an instance's, or a generic kernel's), and line i is the
+cluster of the i-th of them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Clustering, Instance, make_instance
 
@@ -83,7 +87,7 @@ def format_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_clustering(text: str) -> Clustering:
+def parse_clustering(text: str, ids: Sequence[int]) -> Clustering:
     t = _Tokens(text, "clustering")
     t.expect("ASSIGN")
     t.expect("1")
@@ -91,22 +95,21 @@ def parse_clustering(text: str) -> Clustering:
     k = t.next_int()
     if n < 0 or k < 1:
         raise FormatError("clustering: bad header")
+    if n != len(ids):
+        raise FormatError(f"clustering: {n} entries for {len(ids)} points")
     assignment = {}
-    for i in range(n):
+    for pid in ids:
         idx = t.next_int()
         if not 1 <= idx <= k:
             raise FormatError(f"clustering: index {idx} out of range 1..{k}")
-        assignment[i] = idx
+        assignment[pid] = idx
     t.done()
     return Clustering(assignment, k)
 
 
-def format_clustering(c: Clustering) -> str:
-    ids = sorted(c.assignment)
-    if ids != list(range(len(ids))):
-        raise ValueError("clustering format requires contiguous ids 0..n-1")
+def format_clustering(c: Clustering, ids: Sequence[int]) -> str:
     lines = [f"ASSIGN 1 {len(ids)} {c.k}"]
-    lines.extend(str(c.assignment[i]) for i in ids)
+    lines.extend(str(c.assignment[pid]) for pid in ids)
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,7 @@ correspond to clusterings of cost exactly 7N.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,16 +75,6 @@ class TdmInstance:
     def num_elements(self) -> int:
         return 3 * self.n
 
-    def occurrence_ranks(self) -> dict[tuple[int, int], int]:
-        """(global element, triple index 1-based) -> rank 1..3, in list order."""
-        seen: dict[int, int] = {}
-        ranks: dict[tuple[int, int], int] = {}
-        for tidx, t in enumerate(self.triples, start=1):
-            for g in self._globals(t):
-                seen[g] = seen.get(g, 0) + 1
-                ranks[(g, tidx)] = seen[g]
-        return ranks
-
 
 # ---------------------------------------------------------------------------
 # random and planted instances
@@ -144,36 +135,35 @@ def gen_planted(k: int, s: int, d: int, spread: int, noise: int, p: int,
 # ---------------------------------------------------------------------------
 # hypergraph matching construction
 
-def _vertex_vector(i: int, r: int, n: int) -> tuple[int, ...]:
-    # ones exactly on the 2r-wide block of vertex i (1-based)
-    lo, hi = 2 * r * (i - 1), 2 * r * i
-    return tuple(1 if lo <= h < hi else 0 for h in range(2 * r * n))
+def _matching_instance(r: int, n: int, edge_ones: Sequence[set[int]]) -> Instance:
+    """The matching construction on n elements, each owning a 2r-wide block of coordinates.
 
-
-def _edge_vector(edge: tuple[int, ...], r: int, n: int) -> tuple[int, ...]:
-    # ones exactly at the anchor coordinate of each endpoint's block
-    anchors = {2 * r * (v - 1) for v in edge}
-    return tuple(1 if h in anchors else 0 for h in range(2 * r * n))
+    r - 1 copies of each element's vector (ones on its block), then r copies of
+    each edge's vector (ones at the coordinates `edge_ones` lists for it, one in
+    each member's block); cluster size r, budget (3r - 2) * n.
+    """
+    d, m = 2 * r * n, len(edge_ones)
+    _check_size((r - 1) * n + r * m, d)
+    rows: list[tuple[int, ...]] = []
+    for i in range(n):
+        block = range(2 * r * i, 2 * r * (i + 1))
+        rows.extend([tuple(1 if h in block else 0 for h in range(d))] * (r - 1))
+    for ones in edge_ones:
+        rows.extend([tuple(1 if h in ones else 0 for h in range(d))] * r)
+    return make_instance(rows, p=0, k=n + m - n // r, B=(3 * r - 2) * n)
 
 
 def reduce_rsm(h: Hypergraph) -> Instance:
     """Binary equal-clustering instance from an r-uniform hypergraph.
 
-    r - 1 copies per vertex vector and r copies per edge vector, cluster size
-    r, budget (3r - 2) * n; the budget is attainable iff the hypergraph has a
-    perfect matching.
+    The matching construction on the vertices, with each edge's ones at the
+    first coordinate of its vertices' blocks; the budget is attainable iff the
+    hypergraph has a perfect matching.
     """
-    r, n, m = h.r, h.num_vertices, len(h.edges)
+    r, n = h.r, h.num_vertices
     if n % r != 0:
         raise ValueError(f"vertex count {n} not divisible by r = {r}: no perfect matching")
-    _check_size((r - 1) * n + r * m, 2 * r * n)
-    rows: list[tuple[int, ...]] = []
-    for i in range(1, n + 1):
-        rows.extend([_vertex_vector(i, r, n)] * (r - 1))
-    for e in h.edges:
-        rows.extend([_edge_vector(e, r, n)] * r)
-    k = n + m - n // r
-    return make_instance(rows, p=0, k=k, B=(3 * r - 2) * n)
+    return _matching_instance(r, n, [{2 * r * (v - 1) for v in e} for e in h.edges])
 
 
 def _rsm_point_ids(h: Hypergraph) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
@@ -221,50 +211,33 @@ def planted_rsm_clustering(h: Hypergraph, matching: Sequence[int]) -> Clustering
 # ---------------------------------------------------------------------------
 # 3-dimensional matching construction
 
-def _tdm_columns(t: TdmInstance) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    N = t.num_elements
-    d = 6 * N
-    ranks = t.occurrence_ranks()
-    element_cols = []
-    for e in range(1, N + 1):
-        lo, hi = 6 * (e - 1), 6 * e
-        element_cols.append(tuple(1 if lo <= h < hi else 0 for h in range(d)))
-    triple_cols = []
-    for tidx, triple in enumerate(t.triples, start=1):
-        ones = set()
-        for g in t._globals(triple):
-            rank = ranks[(g, tidx)]
-            ones.add(6 * (g - 1) + (rank - 1))
-        triple_cols.append(tuple(1 if h in ones else 0 for h in range(d)))
-    return element_cols, triple_cols
-
-
 def reduce_3dm(t: TdmInstance) -> Instance:
     """Binary equal-clustering instance from a 3DM system.
 
-    Two copies per element column, three per triple column, cluster size 3;
-    distinct triple columns are at Hamming distance 6, an element column is
-    at distance 7 from triples containing it and 9 otherwise. Budget 7N so
-    the decision aligns with the perfect-matching cost.
+    The matching construction for r = 3 on the 3n elements, with a triple's
+    one in an element's block at its occurrence rank (0, 1 or 2, in list order)
+    rather than at the block's first coordinate. So distinct triple vectors are
+    at Hamming distance 6, and an element vector is at distance 7 from the
+    triples containing it and 9 from the others. Budget 7N for N = 3n elements,
+    the cost of a perfect matching's clustering.
     """
-    N = t.num_elements
-    _check_size(2 * N + 3 * len(t.triples), 6 * N)
-    element_cols, triple_cols = _tdm_columns(t)
-    rows: list[tuple[int, ...]] = []
-    for col in element_cols:
-        rows.extend([col] * 2)
-    for col in triple_cols:
-        rows.extend([col] * 3)
-    k = 2 * N // 3 + len(t.triples)
-    return make_instance(rows, p=0, k=k, B=7 * N)
+    seen: Counter[int] = Counter()  # occurrences of each element so far
+    edge_ones = []
+    for triple in t.triples:
+        ones = set()
+        for g in t._globals(triple):
+            ones.add(6 * (g - 1) + seen[g])
+            seen[g] += 1
+        edge_ones.append(ones)
+    return _matching_instance(3, t.num_elements, edge_ones)
 
 
 def planted_3dm_clustering(t: TdmInstance, matching: Sequence[int]) -> Clustering:
     """Certificate clustering of cost exactly 7N for a perfect matching.
 
-    reduce_3dm numbers its points as reduce_rsm does for the 3-uniform
-    hypergraph on the 3n elements whose edges are the triples, so the
-    certificate is that hypergraph's.
+    reduce_3dm is the matching construction, in reduce_rsm's point order, for
+    the 3-uniform hypergraph on the 3n elements whose edges are the triples, so
+    the certificate is that hypergraph's.
     """
     h = Hypergraph(3, t.num_elements, tuple(t._globals(x) for x in t.triples))
     return planted_rsm_clustering(h, matching)

@@ -75,7 +75,7 @@ def test_kernelize_solve_lift_pipeline(tmp_path, capsys):
     assert lifted_trunc <= 2 * min(opt.exact, inst.B + 1)
 
     with open(out_f, encoding="utf-8") as fh:
-        lifted = parse_clustering(fh.read())
+        lifted = parse_clustering(fh.read(), inst.ids())
     lifted.validate_equal(inst.ids(), inst.k)
 
 
@@ -150,8 +150,8 @@ def test_kernelize_context_to_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(ctx_text))
     assert main(["lift", "ks.assign", "--ctx", "-", "-o", "l.assign"]) == EXIT_OK
     inst = parse_instance((tmp_path / "inst.ecl").read_text(encoding="utf-8"))
-    parse_clustering((tmp_path / "l.assign").read_text(encoding="utf-8")).validate_equal(
-        inst.ids(), inst.k)
+    parse_clustering((tmp_path / "l.assign").read_text(encoding="utf-8"),
+                     inst.ids()).validate_equal(inst.ids(), inst.k)
     assert not (tmp_path / "-").exists()
 
 
@@ -231,7 +231,7 @@ def test_solve_matching_against_median_file(tmp_path, capsys):
                  "-o", out_f]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "cost 8"
     with open(out_f, encoding="utf-8") as fh:
-        clustering = parse_clustering(fh.read())
+        clustering = parse_clustering(fh.read(), inst.ids())
     assert clustering.clusters() == [[0, 1], [2, 3]]
 
 
@@ -332,7 +332,7 @@ def test_solve_singleton_clusters_at_scale(tmp_path, capsys, method):
     sol_f = tmp_path / "s1.assign"
     assert main(["solve", inst_f, "--method", method, "-o", str(sol_f)]) == EXIT_OK
     assert capsys.readouterr().out == "cost 0\n"
-    clustering = parse_clustering(sol_f.read_text(encoding="utf-8"))
+    clustering = parse_clustering(sol_f.read_text(encoding="utf-8"), range(2000))
     assert clustering.clusters() == [[i] for i in range(2000)]
 
 
@@ -413,19 +413,20 @@ def test_two_inputs_from_stdin_is_a_usage_error(tmp_path, capsys, monkeypatch, c
     assert _tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("command, clustering", [
-    pytest.param("eval", "ASSIGN 1 12 2\n" + "1\n2\n" * 6, id="eval-wrong-k"),
-    pytest.param("eval", "ASSIGN 1 12 3\n" + "1\n" * 5 + "2\n" * 3 + "3\n" * 4,
+@pytest.mark.parametrize("command, clustering, message", [
+    pytest.param("eval", "ASSIGN 1 12 2\n" + "1\n2\n" * 6, None, id="eval-wrong-k"),
+    pytest.param("eval", "ASSIGN 1 12 3\n" + "1\n" * 5 + "2\n" * 3 + "3\n" * 4, None,
                  id="eval-wrong-size"),
     pytest.param("eval", "ASSIGN 1 11 3\n" + "1\n2\n3\n" * 3 + "1\n2\n",
-                 id="eval-wrong-count"),
-    pytest.param("lift", "ASSIGN 1 8 1\n" + "1\n" * 8, id="lift-wrong-k"),
-    pytest.param("lift", "ASSIGN 1 8 2\n" + "1\n" * 5 + "2\n" * 3, id="lift-wrong-size"),
-    pytest.param("lift", "ASSIGN 1 12 3\n" + "1\n2\n3\n" * 4, id="lift-wrong-count"),
-    pytest.param("lift", None, id="lift-no-kernel-clustering"),
+                 "error: clustering: 11 entries for 12 points\n", id="eval-wrong-count"),
+    pytest.param("lift", "ASSIGN 1 8 1\n" + "1\n" * 8, None, id="lift-wrong-k"),
+    pytest.param("lift", "ASSIGN 1 8 2\n" + "1\n" * 5 + "2\n" * 3, None, id="lift-wrong-size"),
+    pytest.param("lift", "ASSIGN 1 12 3\n" + "1\n2\n3\n" * 4,
+                 "error: clustering: 12 entries for 8 points\n", id="lift-wrong-count"),
+    pytest.param("lift", None, None, id="lift-no-kernel-clustering"),
 ])
 def test_clustering_that_does_not_fit_is_a_file_error(tmp_path, capsys, monkeypatch,
-                                                       command, clustering):
+                                                       command, clustering, message):
     # the instance has 12 points in 3 clusters; its generic kernel 8 in 2
     _write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -441,6 +442,8 @@ def test_clustering_that_does_not_fit_is_a_file_error(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+    if message is not None:
+        assert captured.err == message
     assert not (tmp_path / "lifted.assign").exists()
 
 
@@ -556,7 +559,8 @@ def test_generator_commands_import_generators_themselves(tmp_path):
         assert proc.returncode == EXIT_OK, (argv, proc.stderr)
     for stem in ("g", "r", "t"):
         inst = parse_instance((tmp_path / f"{stem}.ecl").read_text(encoding="utf-8"))
-        planted = parse_clustering((tmp_path / f"{stem}.asg").read_text(encoding="utf-8"))
+        planted = parse_clustering((tmp_path / f"{stem}.asg").read_text(encoding="utf-8"),
+                                   inst.ids())
         assert len(planted.assignment) == inst.n and planted.k == inst.k
     assert proc.stdout == "verify: all 4 checks passed\n"
 

@@ -2,11 +2,13 @@
 token soup (right or wrong header literals, small integers, junk tokens, raw
 bytes), and every run must end in a documented exit code, never a traceback.
 
-Integers stay small and point counts at most 10, so no case asks for a huge
-instance or a slow enumeration.
+Some lift contexts come from a real lossy kernelization instead, so that a
+generic lift also succeeds. Integers stay small and point counts at most 12,
+so no case asks for a huge instance or a slow enumeration.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -16,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqclus.cli import main
+from eqclus.generators import gen_random
+from eqclus.kernel import lossy_kernelize, save_context
 
 LITERALS = ["ECL", "RSM", "TDM", "ASSIGN", "ECLCTX", "1", "0", "-", "+3", "007", "1e3", "0x10",
             "nan", "-0", "٣", "{", "}", "[", "]", ",", ":", '"', "null"]
@@ -77,11 +81,36 @@ small_json = st.recursive(
     max_leaves=12)
 
 
+# verify's small-regime shapes (n, k, coordinate bound, B): s < 4B+1
+SMALL_SHAPES = [(8, 2, 2, 1), (8, 4, 1, 1), (12, 3, 2, 1), (6, 3, 1, 1),
+                (12, 6, 2, 1), (10, 2, 3, 2), (12, 4, 2, 1), (9, 3, 2, 1)]
+
+
+@functools.cache
+def kernelized(shape: int, p: int, seed: int) -> tuple[str, int, int]:
+    """The context that `kernelize --mode lossy` writes for a seeded small-regime
+    instance, and its kernel's point and cluster counts."""
+    n, k, bound, B = SMALL_SHAPES[shape]
+    kern, ctx = lossy_kernelize(gen_random(n=n, k=k, d=2, coord_bound=bound, p=p, B=B,
+                                           seed=seed))
+    text = io.StringIO()
+    save_context(ctx, text)
+    return text.getvalue(), kern.n, kern.k
+
+
 @st.composite
-def lift_inputs(draw):
+def real_context(draw):
+    """A context of a real lossy kernelization, and its kernel's point and cluster counts."""
+    text, kernel_n, kernel_k = kernelized(draw(st.integers(0, len(SMALL_SHAPES) - 1)),
+                                          draw(st.integers(0, 1)), draw(st.integers(0, 9)))
+    return json.loads(text), kernel_n, kernel_k
+
+
+@st.composite
+def made_up_context(draw):
     """A context of the shape save_context writes now (version 3) or wrote
-    before (versions 1 and 2, which also stored the kernel), with up to two
-    fields replaced by junk, and a kernel clustering that fits it or not."""
+    before (versions 1 and 2, which also stored the kernel), and the point and
+    cluster counts of the kernel it implies."""
     n, k = draw(equal_size(3, 9))
     s = n // k if k and n >= k and n % k == 0 else 1
     dim = draw(st.integers(1, 2))
@@ -106,13 +135,21 @@ def lift_inputs(draw):
         doc["original"] = inst(ids, k)
         doc["solved"] = {"k": k,
                          "assignment": {str(i): 1 + pos // s for pos, i in enumerate(ids)}}
+    return doc, len(rest), max(k - len(blocks), 1)
+
+
+@st.composite
+def lift_inputs(draw):
+    """A made-up context and a kernel clustering that fits it or not, or a real
+    context and one that fits it; either with up to two fields replaced by junk."""
+    real = draw(st.booleans())
+    doc, kernel_n, kernel_k = draw(real_context() if real else made_up_context())
     for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2)):
         doc[key] = draw(small_json)
-    if draw(st.booleans()):
-        kernel_k = max(k - len(blocks), 1)
-        clustering = " ".join(map(str, ["ASSIGN", 1, len(rest), kernel_k] +
-                                      [1 + pos * kernel_k // max(len(rest), 1)
-                                       for pos in range(len(rest))]))
+    if real or draw(st.booleans()):
+        clustering = " ".join(map(str, ["ASSIGN", 1, kernel_n, kernel_k] +
+                                      [1 + pos * kernel_k // max(kernel_n, 1)
+                                       for pos in range(kernel_n)]))
         clustering = clustering.encode("utf-8")
     else:
         clustering = draw(clustering_soup)

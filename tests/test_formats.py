@@ -69,20 +69,23 @@ def test_instance_indivisible_k_is_not_a_format_error():
 
 
 def test_clustering_round_trip():
-    c = Clustering({0: 1, 1: 2, 2: 1, 3: 2}, 2)
-    text = format_clustering(c)
-    assert text.splitlines()[0] == "ASSIGN 1 4 2"
-    assert parse_clustering(text) == c
+    # line i is the cluster of ids[i], whatever the ids and their order
+    c = Clustering({5: 1, 7: 2, 2: 1, 9: 2}, 2)
+    text = format_clustering(c, [9, 2, 7, 5])
+    assert text == "ASSIGN 1 4 2\n2\n1\n2\n1\n"
+    assert parse_clustering(text, [9, 2, 7, 5]) == c
 
 
 def test_clustering_rejects_out_of_range_index():
-    with pytest.raises(FormatError):
-        parse_clustering("ASSIGN 1 2 2\n1\n3\n")
+    with pytest.raises(FormatError) as exc:
+        parse_clustering("ASSIGN 1 2 2\n1\n3\n", range(2))
+    assert str(exc.value) == "clustering: index 3 out of range 1..2"
 
 
-def test_clustering_format_needs_contiguous_ids():
-    with pytest.raises(ValueError):
-        format_clustering(Clustering({5: 1, 7: 1}, 1))
+def test_clustering_entry_count_is_checked_before_the_entries():
+    with pytest.raises(FormatError) as exc:
+        parse_clustering("ASSIGN 1 3 2\n1\nx\n", range(2))
+    assert str(exc.value) == "clustering: 3 entries for 2 points"
 
 
 def test_hypergraph_parse_example():

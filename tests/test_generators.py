@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
 from eqclus.core import clustering_cost, lp_distance, truncated_cost
+from eqclus.formats import format_instance
 from eqclus.generators import (
     Hypergraph,
     TdmInstance,
@@ -181,3 +184,54 @@ def test_tdm_rejects_bad_matchings():
         planted_3dm_clustering(t, [1, 4])  # overlaps on side-Y element 1
     with pytest.raises(ValueError):
         planted_3dm_clustering(t, [1])
+
+
+# ---------------------------------------------------------------------------
+# both constructions, pinned byte for byte
+
+def _planted_hypergraph(rng, r):
+    # a perfect matching on n = r * q vertices, plus random edges, in random order
+    n = r * rng.randint(1, 3)
+    order = rng.sample(range(1, n + 1), n)
+    matching = [tuple(order[i:i + r]) for i in range(0, n, r)]
+    extra = [tuple(rng.sample(range(1, n + 1), r)) for _ in range(rng.randint(0, 4))]
+    edges = matching + extra
+    rng.shuffle(edges)
+    chosen = [edges.index(e) + 1 for e in matching]
+    return Hypergraph(r, n, tuple(edges)), chosen
+
+
+def _planted_tdm(rng):
+    # a perfect matching on n elements per side, plus triples that keep every
+    # element in at most three, in random order
+    n = rng.randint(1, 5)
+    ys, zs = rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n)
+    matching = [(x, ys[x - 1], zs[x - 1]) for x in range(1, n + 1)]
+    counts = {(side, v): 1 for side in range(3) for v in range(1, n + 1)}
+    triples = list(matching)
+    for _ in range(rng.randint(0, 2 * n)):
+        triple = tuple(rng.randint(1, n) for _ in range(3))
+        if all(counts[(side, v)] < 3 for side, v in enumerate(triple)):
+            for side, v in enumerate(triple):
+                counts[(side, v)] += 1
+            triples.append(triple)
+    rng.shuffle(triples)
+    chosen = [triples.index(t) + 1 for t in matching]
+    return TdmInstance(n, tuple(triples)), chosen
+
+
+def test_reductions_and_certificates_are_pinned():
+    # any change to a reduced instance, its point order or a planted
+    # clustering moves the digest
+    rng = random.Random(20261020)
+    cases = [(reduce_rsm, planted_rsm_clustering, *_planted_hypergraph(rng, r))
+             for r in (3, 4) for _ in range(30)]
+    cases += [(reduce_3dm, planted_3dm_clustering, *_planted_tdm(rng)) for _ in range(60)]
+    digest = hashlib.sha256()
+    for reduce, plant, problem, matching in cases:
+        inst = reduce(problem)
+        planted = plant(problem, matching)
+        planted.validate_equal(inst.ids(), inst.k)
+        digest.update(format_instance(inst).encode())
+        digest.update(" ".join(str(planted.assignment[i]) for i in inst.ids()).encode() + b"\n")
+    assert digest.hexdigest() == "afe3fd5b957a5e33d4b036a23205311ddeb58b92b7597ce3c50f634a97bddc64"
