@@ -191,7 +191,7 @@ class Clustering(NamedTuple):
         """InvalidClusteringError unless this is a partition of `ids` into k equal clusters."""
         ids = set(ids)
         if self.k != k:
-            raise InvalidClusteringError(f"clustering has k={self.k}, instance k={k}")
+            raise InvalidClusteringError(f"clustering has k={self.k}, needs k={k}")
         if set(self.assignment) != ids:
             raise InvalidClusteringError("clustering ids do not match instance ids")
         sizes = Counter(self.assignment.values())

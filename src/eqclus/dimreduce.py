@@ -161,11 +161,3 @@ def reduce_dimension(inst: Instance) -> Instance | None:
     out_points = tuple(Point(new_coords[pt.id], pt.id) for pt in inst.points)
     return Instance(out_points, p=p, k=k, B=B)
 
-
-def coordinate_budget_exponent(p: int, B: int) -> int:
-    """Bound on how many coordinates two points within distance B can differ in.
-
-    B for p <= 1 (a Hamming or Manhattan distance of B touches at most B
-    coordinates), B^p for p >= 2.
-    """
-    return B if p <= 1 else B ** p

@@ -175,17 +175,9 @@ def _check_fields(d: dict, fields: dict) -> None:
             raise FormatError(f"lift context: field {key!r} has the wrong type")
 
 
-def _v1_solved_clusters(doc: dict) -> list[list[int]]:
-    """The clusters of a version 1 large-yes context's stored optimum."""
-    solved = doc.get("solved")
-    if not isinstance(solved, dict):
-        raise FormatError("lift context: branch large-yes needs field 'solved'")
-    _check_fields(solved, {"k": int, "assignment": dict})
-    if any(type(c) is not int for c in solved["assignment"].values()):
-        raise FormatError("lift context: cluster indices must be integers")
-    if solved["k"] != doc["original"]["k"]:
-        raise FormatError("lift context: the stored optimum's k is not the original's k")
-    return Clustering({int(i): c for i, c in solved["assignment"].items()}, solved["k"]).clusters()
+def _are_ids(values: list) -> bool:
+    # bool is an int subclass, and not an id
+    return all(type(v) is int for v in values)
 
 
 def _check_lifted_ids(ctx: LiftContext) -> None:
@@ -203,11 +195,9 @@ def _check_lifted_ids(ctx: LiftContext) -> None:
 
 
 def load_context(fp: IO[str]) -> LiftContext:
-    """Read a context of version 3, 2 or 1; FormatError if the file is anything else.
+    """Read a context as save_context writes it; FormatError if the file is anything else.
 
-    Versions 1 and 2 also stored the kernel, which is ignored, as are version
-    1's original coordinates; version 1 stored a large-yes optimum as a
-    clustering."""
+    Keys the reader does not know are ignored."""
     try:
         doc = json.load(fp)
     except ValueError as exc:  # also bytes that are not UTF-8
@@ -215,35 +205,26 @@ def load_context(fp: IO[str]) -> LiftContext:
     if not isinstance(doc, dict):
         raise FormatError("lift context: not a JSON object")
     _check_fields(doc, {"format": str, "version": int})
-    if doc["format"] != CONTEXT_FORMAT or doc["version"] not in (1, 2, CONTEXT_VERSION):
-        raise FormatError(f"lift context: not an {CONTEXT_FORMAT} version 1, 2 or "
-                          f"{CONTEXT_VERSION} file")
+    if doc["format"] != CONTEXT_FORMAT or doc["version"] != CONTEXT_VERSION:
+        raise FormatError(f"lift context: not an {CONTEXT_FORMAT} version {CONTEXT_VERSION} file")
     _check_fields(doc, _CONTEXT_FIELDS)
     branch = doc["branch"]
     if branch not in _BRANCHES:
         raise FormatError(f"lift context: unknown branch {branch!r}")
     _check_fields(doc["original"], {"k": int, "ids": list})
     ids, k = doc["original"]["ids"], doc["original"]["k"]
-    # bool is an int subclass, and not an id
-    if any(type(i) is not int or i < 0 for i in ids) or len(set(ids)) != len(ids):
+    if not _are_ids(ids) or any(i < 0 for i in ids) or len(set(ids)) != len(ids):
         raise FormatError("lift context: the original's ids must be unique nonnegative integers")
     if k < 1 or len(ids) < k or len(ids) % k:
         raise FormatError(f"lift context: k = {k} does not split {len(ids)} ids equally")
-    try:
-        blocks = doc["blocks"]
-        if doc["version"] == 1 and branch == BRANCH_LARGE_YES:
-            blocks = _v1_solved_clusters(doc)
-        if branch in YES_BRANCHES and blocks is None:
+    blocks = doc["blocks"]
+    if blocks is None:
+        if branch in YES_BRANCHES:
             raise FormatError(f"lift context: branch {branch} needs field 'blocks'")
-        ctx = LiftContext(
-            branch=branch,
-            ids=tuple(ids),
-            k=k,
-            blocks=tuple(tuple(b) for b in blocks) if blocks is not None else None,
-        )
-        _check_lifted_ids(ctx)
-        return ctx
-    except FormatError:
-        raise
-    except (TypeError, ValueError) as exc:  # entries of the wrong type or value
-        raise FormatError(f"lift context: {exc}") from None
+    elif not all(isinstance(b, list) and _are_ids(b) for b in blocks):
+        raise FormatError("lift context: the blocks must be lists of integer ids")
+    else:
+        blocks = tuple(map(tuple, blocks))
+    ctx = LiftContext(branch=branch, ids=tuple(ids), k=k, blocks=blocks)
+    _check_lifted_ids(ctx)
+    return ctx

@@ -22,7 +22,6 @@ from .core import (
     cost_with_medians,
     identical_groups,
     optimum_median,
-    truncated_cost,
 )
 from .kernel import BRANCH_GENERIC, lift_solution, lossy_kernelize
 
@@ -216,7 +215,10 @@ def check_lossy_ratio(inst: Instance) -> RatioReport:
     kernel, ctx = lossy_kernelize(inst)
     kernel_solution, _ = brute_force_opt(kernel)
     lifted = lift_solution(ctx, kernel_solution)
-    lifted_trunc = truncated_cost(inst, lifted).exact
+    lifted.validate_equal(inst.by_id, inst.k)
+    coords = {pt.id: pt.coords for pt in inst.points}
+    lifted_trunc = min(sum(_cluster_cost(coords, members, inst.p)
+                           for members in lifted.clusters()), B + 1)
     report = RatioReport(ctx.branch, opt_trunc, lifted_trunc, [])
     if lifted_trunc > 2 * opt_trunc:
         report.violations.append(
@@ -229,9 +231,16 @@ def check_lossy_ratio(inst: Instance) -> RatioReport:
     return report
 
 
-def _kernel_size_violations(kernel: Instance, B: int) -> list[str]:
-    from .dimreduce import coordinate_budget_exponent
+def coordinate_budget_exponent(p: int, B: int) -> int:
+    """Bound on how many coordinates two points within distance B can differ in.
 
+    B for p <= 1 (a Hamming or Manhattan distance of B touches at most B
+    coordinates), B^p for p >= 2.
+    """
+    return B if p <= 1 else B ** p
+
+
+def _kernel_size_violations(kernel: Instance, B: int) -> list[str]:
     out = []
     kp = kernel.k
     b2 = 2 * B

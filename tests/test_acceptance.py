@@ -19,7 +19,7 @@ from eqclus.core import (
     make_instance,
     truncated_cost,
 )
-from eqclus.dimreduce import coordinate_budget_exponent, reduce_dimension
+from eqclus.dimreduce import reduce_dimension
 from eqclus.exact_large import solve_large
 from eqclus.generators import (
     Hypergraph,
@@ -34,6 +34,7 @@ from eqclus.kernel import BRANCH_GENERIC, lift_solution, lossy_kernelize
 from eqclus.oracle import (
     brute_force_opt,
     check_structure,
+    coordinate_budget_exponent,
     enumerate_equal_partitions,
     min_assignment_cost_exhaustive,
 )

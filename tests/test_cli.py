@@ -336,54 +336,81 @@ def test_solve_singleton_clusters_at_scale(tmp_path, capsys, method):
     assert clustering.clusters() == [[i] for i in range(2000)]
 
 
-def _context(branch, blocks=None, solved=None, ids=(0, 1), coords=((0,), (1,))):
-    # two points, one cluster; the kernel keeps both ids
-    inst = {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": ids, "coords": coords}
-    return json.dumps({"format": "ECLCTX", "version": 1, "branch": branch,
-                       "original": inst, "kernel": inst, "blocks": blocks, "solved": solved})
+def _context(branch, ids=(0, 1), k=1, blocks=None, version=3):
+    # the original as its ids and k
+    return json.dumps({"format": "ECLCTX", "version": version, "branch": branch,
+                       "original": {"k": k, "ids": ids}, "blocks": blocks})
 
 
-def _context_by_ids(branch, ids=(0, 1), k=1, blocks=None, version=2):
-    # the original as its ids and k; version 2 also stored a kernel, here of
-    # two points and one cluster
-    doc = {"format": "ECLCTX", "version": version, "branch": branch,
-           "original": {"k": k, "ids": ids}, "blocks": blocks}
-    if version == 2:
-        doc["kernel"] = {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": (0, 1), "coords": ((0,), (1,))}
-    return json.dumps(doc)
+# contexts as `kernelize --mode lossy` wrote them before version 3: version 1
+# stored the original's coordinates, the kernel and a large-yes optimum as a
+# clustering; version 2 stored the kernel
+V1_LARGE_YES_CONTEXT = json.dumps({
+    "format": "ECLCTX", "version": 1, "branch": "large-yes",
+    "original": {"p": 1, "k": 2, "B": 1, "dim": 1, "ids": list(range(10)),
+                 "coords": [[0], [10], [10], [0], [11], [0], [10], [0], [10], [0]]},
+    "kernel": {"p": 1, "k": 1, "B": 0, "dim": 1, "ids": [0], "coords": [[0]]},
+    "blocks": None,
+    "solved": {"k": 2, "assignment": {"0": 1, "3": 1, "5": 1, "7": 1, "9": 1,
+                                      "1": 2, "2": 2, "6": 2, "8": 2, "4": 2}}})
+V2_GENERIC_CONTEXT = json.dumps({
+    "format": "ECLCTX", "version": 2, "branch": "generic",
+    "original": {"k": 3, "ids": list(range(12))},
+    "kernel": {"p": 1, "k": 2, "B": 4, "dim": 3, "ids": [0, 1, 3, 4, 7, 9, 10, 11],
+               "coords": [[1, 4, 0], [0, 2, 0], [3, 3, 0], [3, 1, 0], [3, 4, 0], [2, 1, 0],
+                          [4, 0, 0], [2, 0, 0]]},
+    "blocks": [[2, 5, 6, 8]]})
+
+NOT_V3 = "not an ECLCTX version 3 file"
+NOT_IDS = "the original's ids must be unique nonnegative integers"
+NOT_BLOCK_IDS = "the blocks must be lists of integer ids"
+NOT_DISJOINT = "the blocks are not disjoint sets of the original's ids"
+NOT_FITTING = "the blocks do not fit the original's k"
 
 
-@pytest.mark.parametrize("text", [
-    '{"format": "ECLCTX", "version": 1}', "[1, 2]", "not json",
-    pytest.param(_context("generic", blocks=[[999]]), id="block-id-not-in-original"),
-    pytest.param(_context("empty-after-greedy", blocks=[[0]]), id="blocks-miss-an-id"),
-    pytest.param(_context("large-yes", solved={"k": 1, "assignment": {"0": 1, "7": 1}}),
-                 id="solved-ids-not-original"),
-    pytest.param(_context("large-yes", solved={"k": 1, "assignment": {"0": 1.5, "1": 1}}),
-                 id="fractional-cluster-index"),
-    pytest.param(_context("dimreduce-no", ids=(0.5, 1.5)), id="fractional-ids"),
-    pytest.param(_context_by_ids("large-no", ids=(0, 0)), id="v2-duplicate-ids"),
-    pytest.param(_context_by_ids("large-no", ids=(-1, 0)), id="v2-negative-id"),
-    pytest.param(_context_by_ids("large-no", ids=(False, True)), id="v2-bool-ids"),
-    pytest.param(_context_by_ids("large-no", k=0), id="v2-k-zero"),
-    pytest.param(_context_by_ids("large-no", ids=(0, 1, 2), k=2), id="v2-k-not-dividing-n"),
-    pytest.param(_context_by_ids("large-yes"), id="v2-large-yes-without-blocks"),
-    pytest.param(_context_by_ids("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1], [2, 3]],
-                                 version=3), id="v3-generic-blocks-leave-no-kernel"),
-    pytest.param(_context_by_ids("large-yes", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1]],
-                                 version=3), id="v3-large-yes-too-few-blocks"),
-    pytest.param(_context_by_ids("large-yes", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1], [1, 2]],
-                                 version=3), id="v3-overlapping-blocks"),
-    pytest.param(_context_by_ids("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0]], version=3),
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"format": "ECLCTX", "version": 1}', NOT_V3,
+                 id='{"format": "ECLCTX", "version": 1}'),
+    pytest.param("[1, 2]", "not a JSON object", id="[1, 2]"),
+    pytest.param("not json", "not JSON (Expecting value: line 1 column 1 (char 0))",
+                 id="not json"),
+    pytest.param(V1_LARGE_YES_CONTEXT, NOT_V3, id="v1-context"),
+    pytest.param(V2_GENERIC_CONTEXT, NOT_V3, id="v2-context"),
+    pytest.param(_context("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0, 999]]), NOT_DISJOINT,
+                 id="block-id-not-in-original"),
+    pytest.param(_context("empty-after-greedy", blocks=[[0]]), NOT_FITTING,
+                 id="blocks-miss-an-id"),
+    pytest.param(_context("dimreduce-no", ids=(0.5, 1.5)), NOT_IDS, id="fractional-ids"),
+    pytest.param(_context("large-no", ids=(0, 0)), NOT_IDS, id="v3-duplicate-ids"),
+    pytest.param(_context("large-no", ids=(-1, 0)), NOT_IDS, id="v3-negative-id"),
+    pytest.param(_context("large-no", ids=(False, True)), NOT_IDS, id="v3-bool-ids"),
+    pytest.param(_context("large-no", k=0), "k = 0 does not split 2 ids equally",
+                 id="v3-k-zero"),
+    pytest.param(_context("large-no", ids=(0, 1, 2), k=2), "k = 2 does not split 3 ids equally",
+                 id="v3-k-not-dividing-n"),
+    pytest.param(_context("large-yes"), "branch large-yes needs field 'blocks'",
+                 id="v3-large-yes-without-blocks"),
+    pytest.param(_context("large-yes", blocks=[0, 1]), NOT_BLOCK_IDS,
+                 id="v3-block-not-a-list"),
+    pytest.param(_context("large-yes", blocks=[[False, True]]), NOT_BLOCK_IDS,
+                 id="v3-bool-block-entries"),
+    pytest.param(_context("large-yes", blocks=[[0.0, 1.0]]), NOT_BLOCK_IDS,
+                 id="v3-float-block-entries"),
+    pytest.param(_context("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1], [2, 3]]),
+                 NOT_FITTING, id="v3-generic-blocks-leave-no-kernel"),
+    pytest.param(_context("large-yes", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1]]), NOT_FITTING,
+                 id="v3-large-yes-too-few-blocks"),
+    pytest.param(_context("large-yes", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1], [1, 2]]),
+                 NOT_DISJOINT, id="v3-overlapping-blocks"),
+    pytest.param(_context("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0]]), NOT_FITTING,
                  id="v3-block-of-wrong-size"),
-    pytest.param(_context_by_ids("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1]], version=4),
-                 id="v4"),
+    pytest.param(_context("generic", ids=(0, 1, 2, 3), k=2, blocks=[[0, 1]], version=4),
+                 NOT_V3, id="v4"),
 ])
-def test_lift_rejects_malformed_context(tmp_path, capsys, text):
+def test_lift_rejects_malformed_context(tmp_path, capsys, text, message):
     ctx_f = write(tmp_path / "ctx.json", text + "\n")
     assert main(["lift", "--ctx", ctx_f]) == EXIT_FORMAT
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: lift context:")
+    assert capsys.readouterr().err == f"error: lift context: {message}\n"
 
 
 # each command that reads two inputs, both from stdin, and what stdin holds
@@ -414,12 +441,14 @@ def test_two_inputs_from_stdin_is_a_usage_error(tmp_path, capsys, monkeypatch, c
 
 
 @pytest.mark.parametrize("command, clustering, message", [
-    pytest.param("eval", "ASSIGN 1 12 2\n" + "1\n2\n" * 6, None, id="eval-wrong-k"),
+    pytest.param("eval", "ASSIGN 1 12 2\n" + "1\n2\n" * 6,
+                 "error: clustering has k=2, needs k=3\n", id="eval-wrong-k"),
     pytest.param("eval", "ASSIGN 1 12 3\n" + "1\n" * 5 + "2\n" * 3 + "3\n" * 4, None,
                  id="eval-wrong-size"),
     pytest.param("eval", "ASSIGN 1 11 3\n" + "1\n2\n3\n" * 3 + "1\n2\n",
                  "error: clustering: 11 entries for 12 points\n", id="eval-wrong-count"),
-    pytest.param("lift", "ASSIGN 1 8 1\n" + "1\n" * 8, None, id="lift-wrong-k"),
+    pytest.param("lift", "ASSIGN 1 8 1\n" + "1\n" * 8,
+                 "error: clustering has k=1, needs k=2\n", id="lift-wrong-k"),
     pytest.param("lift", "ASSIGN 1 8 2\n" + "1\n" * 5 + "2\n" * 3, None, id="lift-wrong-size"),
     pytest.param("lift", "ASSIGN 1 12 3\n" + "1\n2\n3\n" * 4,
                  "error: clustering: 12 entries for 8 points\n", id="lift-wrong-count"),

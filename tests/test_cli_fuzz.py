@@ -108,33 +108,18 @@ def real_context(draw):
 
 @st.composite
 def made_up_context(draw):
-    """A context of the shape save_context writes now (version 3) or wrote
-    before (versions 1 and 2, which also stored the kernel), and the point and
-    cluster counts of the kernel it implies."""
+    """A context of the shape save_context writes, and the point and cluster
+    counts of the kernel it implies."""
     n, k = draw(equal_size(3, 9))
     s = n // k if k and n >= k and n % k == 0 else 1
-    dim = draw(st.integers(1, 2))
     ids = draw(st.permutations(range(max(n, 0))))
-    coords = {i: [draw(st.integers(-50, 50)) for _ in range(dim)] for i in ids}
-
-    def inst(members, clusters):
-        return {"p": draw(st.sampled_from([0, 1, 1, 2])), "k": clusters,
-                "B": draw(st.integers(0, 3)), "dim": dim, "ids": members,
-                "coords": [coords[i] for i in members]}
-
-    version, branch = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from(BRANCHES))
+    branch = draw(st.sampled_from(BRANCHES))
     blocks = [ids[j:j + s] for j in range(0, draw(st.integers(0, k)) * s, s)]
-    if version >= 2 and branch == "large-yes":  # the optimum's clusters are the blocks
+    if branch == "large-yes":  # the optimum's clusters are the blocks
         blocks = [ids[j:j + s] for j in range(0, len(ids) // s * s, s)]
     rest = ids[sum(map(len, blocks)):]
-    doc = {"format": "ECLCTX", "version": version, "branch": branch,
+    doc = {"format": "ECLCTX", "version": 3, "branch": branch,
            "original": {"k": k, "ids": ids}, "blocks": blocks}
-    if version <= 2:
-        doc["kernel"] = inst(rest, k - len(blocks))
-    if version == 1:
-        doc["original"] = inst(ids, k)
-        doc["solved"] = {"k": k,
-                         "assignment": {str(i): 1 + pos // s for pos, i in enumerate(ids)}}
     return doc, len(rest), max(k - len(blocks), 1)
 
 

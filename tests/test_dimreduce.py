@@ -5,9 +5,9 @@ import pytest
 
 from eqclus import dimreduce
 from eqclus.core import Clustering, clustering_cost, distance_leq_budget, make_instance
-from eqclus.dimreduce import coordinate_budget_exponent, greedy_partition, reduce_dimension
+from eqclus.dimreduce import greedy_partition, reduce_dimension
 from eqclus.generators import gen_random
-from eqclus.oracle import enumerate_equal_partitions
+from eqclus.oracle import coordinate_budget_exponent, enumerate_equal_partitions
 
 
 def test_partition_by_chaining():

@@ -1,7 +1,6 @@
 import io
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +12,6 @@ from eqclus.core import (
     make_instance,
     truncated_cost,
 )
-from eqclus.dimreduce import coordinate_budget_exponent
 from eqclus.generators import gen_random
 from eqclus.kernel import (
     BRANCH_EMPTY_AFTER_GREEDY,
@@ -27,7 +25,7 @@ from eqclus.kernel import (
     lossy_kernelize,
     save_context,
 )
-from eqclus.oracle import brute_force_opt
+from eqclus.oracle import brute_force_opt, coordinate_budget_exponent
 
 
 def lifted_optimal(inst):
@@ -272,6 +270,9 @@ def test_context_round_trip_through_text():
         assert doc["original"] == {"k": inst.k, "ids": inst.ids()}
         loaded = load_context(io.StringIO(buf.getvalue()))
         assert loaded == ctx
+        # a key the reader does not know is ignored, so version 3 can grow optional fields
+        doc["certificate"] = {"kind": "unknown"}
+        assert load_context(io.StringIO(json.dumps(doc))) == ctx
         # lifting through the reloaded context gives the same clustering
         if ctx.branch == BRANCH_GENERIC:
             sol, _ = brute_force_opt(kern)
@@ -280,70 +281,26 @@ def test_context_round_trip_through_text():
         assert lift_solution(loaded, sol) == lift_solution(ctx, sol)
 
 
-def test_context_with_reduce_maps_still_lifts():
-    # written by `eqclus gen --n 12 --k 3 --d 2 --p 0 --B 1 --seed 1 --coord-bound 2`
-    # and `kernelize --mode lossy` when contexts were version 1 and also carried
-    # both dimension reductions' maps; lift never read them, and the reader
-    # ignores them and the original's coordinates
-    text = (Path(__file__).parent / "data" / "generic_context_with_maps.json").read_text()
-    doc = json.loads(text)
-    assert doc["version"] == 1
-    assert doc["first_map"] is not None and doc["second_map"] is not None
-    original = doc["original"]
-    inst = make_instance(original["coords"], p=original["p"], k=original["k"],
-                         B=original["B"], ids=original["ids"])
-    loaded = load_context(io.StringIO(text))
+# the instances of the version 1 and 2 contexts that earlier readers lifted,
+# and the clusterings they lifted them to
+PINNED_LIFTS = [
+    pytest.param(gen_random(n=12, k=3, d=2, coord_bound=2, p=0, B=1, seed=1), BRANCH_GENERIC,
+                 [2, 3, 1, 2, 2, 1, 1, 2, 1, 3, 3, 3], id="generic-p0"),
+    pytest.param(gen_random(n=12, k=3, d=2, coord_bound=2, p=1, B=2, seed=1), BRANCH_GENERIC,
+                 [2, 2, 1, 2, 3, 1, 1, 2, 1, 3, 3, 3], id="generic-p1"),
+    pytest.param(make_instance([(0,), (10,), (10,), (0,), (11,), (0,), (10,), (0,), (10,), (0,)],
+                               p=1, k=2, B=1), BRANCH_LARGE_YES,
+                 [1, 2, 2, 1, 2, 1, 2, 1, 2, 1], id="large-yes"),
+]
+
+
+@pytest.mark.parametrize("inst, branch, labels", PINNED_LIFTS)
+def test_context_lifts_to_its_pinned_clustering(inst, branch, labels):
     kern, ctx = lossy_kernelize(inst)
+    assert ctx.branch == branch
     buf = io.StringIO()
     save_context(ctx, buf)
-    assert json.loads(buf.getvalue()).keys().isdisjoint({"first_map", "second_map"})
-    # the stored kernel, which the reader ignores, is one part under p = 0 and
-    # ends in its B' + 1 = 3 sentinel coordinates, which a fresh kernelization
-    # of a lone part leaves out
-    stored = doc["kernel"]
-    assert {tuple(c[-3:]) for c in stored["coords"]} == {(0, 0, 0)}
-    assert kern == make_instance([c[:-3] for c in stored["coords"]], p=stored["p"],
-                                 k=stored["k"], B=stored["B"], ids=stored["ids"])
-    assert loaded == ctx and loaded.branch == BRANCH_GENERIC
-    assert loaded.kernel_ids() == stored["ids"]
-    sol, _ = brute_force_opt(kern)
+    loaded = load_context(io.StringIO(buf.getvalue()))
+    sol = brute_force_opt(kern)[0] if branch == BRANCH_GENERIC else None
     lifted = lift_solution(loaded, sol)
-    assert [lifted.assignment[i] for i in range(12)] == [2, 3, 1, 2, 2, 1, 1, 2, 1, 3, 3, 3]
-
-
-def test_version_2_generic_context_lifts_to_its_pinned_clustering():
-    # written by `eqclus gen --n 12 --k 3 --d 2 --p 1 --B 2 --seed 1 --coord-bound 2`
-    # and `kernelize --mode lossy` while contexts were version 2 and also stored
-    # the kernel; the reader ignores it and derives the kernel's ids
-    text = (Path(__file__).parent / "data" / "generic_context_v2.json").read_text()
-    doc = json.loads(text)
-    assert doc["version"] == 2 and doc["branch"] == BRANCH_GENERIC
-    stored = doc["kernel"]
-    loaded = load_context(io.StringIO(text))
-    assert loaded.blocks == ((2, 5, 6, 8),)
-    assert loaded.kernel_ids() == stored["ids"] and loaded.k - len(loaded.blocks) == stored["k"]
-    kern = make_instance(stored["coords"], p=stored["p"], k=stored["k"], B=stored["B"],
-                         ids=stored["ids"])
-    sol, _ = brute_force_opt(kern)
-    lifted = lift_solution(loaded, sol)
-    # the clustering the version 2 code lifted this context to
-    assert [lifted.assignment[i] for i in range(12)] == [2, 2, 1, 2, 3, 1, 1, 2, 1, 3, 3, 3]
-
-
-def test_version_1_large_yes_context_lifts_through_blocks():
-    # written by `kernelize --mode lossy` while contexts were version 1, from
-    # the instance in its "original" field (two clusters of five, B = 1): the
-    # large-regime optimum was stored as a clustering, "solved"
-    text = (Path(__file__).parent / "data" / "large_yes_context_v1.json").read_text()
-    doc = json.loads(text)
-    assert doc["version"] == 1 and doc["solved"] is not None
-    original = doc["original"]
-    inst = make_instance(original["coords"], p=original["p"], k=original["k"],
-                         B=original["B"], ids=original["ids"])
-    loaded = load_context(io.StringIO(text))
-    _, ctx = lossy_kernelize(inst)
-    assert loaded == ctx and loaded.branch == BRANCH_LARGE_YES
-    assert loaded.blocks == ((0, 3, 5, 7, 9), (1, 2, 4, 6, 8))
-    lifted = lift_solution(loaded, None)
-    # the clustering the version 1 code lifted this context to
-    assert [lifted.assignment[i] for i in range(10)] == [1, 2, 2, 1, 2, 1, 2, 1, 2, 1]
+    assert [lifted.assignment[i] for i in inst.ids()] == labels
