@@ -11,16 +11,15 @@ infeasible parameters, numeric overflow or guard overflow.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import errno
 import io
 import os
 import sys
-import time
 
-# generators is imported only by the commands that use it (gen, reduce-*,
-# verify): it imports dataclasses, which every other command would pay for
+# generators and verify are imported only by the commands that use them
+# (gen, reduce-*, verify): generators imports dataclasses, and verify holds
+# the suites, which no other command should pay to compile
 from . import formats, kernel, oracle
 from .assign import assign_to_medians
 from .core import (
@@ -190,8 +189,11 @@ def _cmd_solve(args) -> int:
             raise UsageError("--method matching requires --medians FILE")
         med_inst = formats.parse_instance(_read_text(args.medians))
         if med_inst.n != inst.k:
-            raise InvalidInstanceError(
+            raise formats.FormatError(
                 f"medians file has {med_inst.n} points, instance needs k = {inst.k}")
+        if med_inst.dim != inst.dim:
+            raise formats.FormatError(
+                f"medians file has dimension {med_inst.dim}, instance has dimension {inst.dim}")
         medians = [Median.from_point(pt) for pt in med_inst.points]
         clustering, cost = assign_to_medians(inst, medians)
     outputs = [(None, f"cost {_cost_text(cost)}\n")]
@@ -209,97 +211,14 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification batches
-
-def _verify_cases(count: int, seed: int) -> list[tuple]:
-    large_params = [(6, 3, 1, 0), (8, 4, 2, 0), (10, 2, 1, 1), (12, 2, 2, 1),
-                    (9, 1, 2, 2), (12, 6, 1, 0), (10, 5, 2, 0), (12, 1, 3, 2)]
-    small_params = [(8, 2, 2, 1), (8, 4, 1, 1), (12, 3, 2, 1), (6, 3, 1, 1),
-                    (12, 6, 2, 1), (10, 2, 3, 2), (12, 4, 2, 1), (9, 3, 2, 1)]
-    cases = []
-    for i in range(count):
-        n, k, bound, B = large_params[i % len(large_params)]
-        cases.append(("large", n, k, bound, B, i % 2, seed * 7919 + i))
-        n, k, bound, B = small_params[i % len(small_params)]
-        cases.append(("ratio", n, k, bound, B, i % 2, seed * 104729 + i))
-        cases.append(("exact-kernel", n, k, bound, B, i % 2, seed * 1299709 + i))
-        nl, kl, bl, Bl = large_params[(i + 3) % len(large_params)]
-        cases.append(("structure", nl, kl, bl, Bl, i % 2, seed * 15485863 + i))
-    return cases
-
-
-def _run_verify_case(case: tuple) -> tuple[str, list[str], float]:
-    """(description, violations, wall seconds) of one verification case."""
-    start = time.perf_counter()
-    desc, violations = _check_verify_case(case)
-    return desc, violations, time.perf_counter() - start
-
-
-def _check_verify_case(case: tuple) -> tuple[str, list[str]]:
-    from . import generators
-
-    suite, n, k, bound, B, p, s = case
-    desc = f"{suite}(n={n},k={k},B={B},p={p},seed={s})"
-    inst = generators.gen_random(n=n, k=k, d=2, coord_bound=bound, p=p, B=B, seed=s)
-    violations: list[str] = []
-    if suite == "large":
-        if not in_large_regime(inst):
-            return desc, [f"internal: parameters leave s={inst.s} < 4B+1"]
-        got = solve_large(inst)
-        _, opt = oracle.brute_force_opt(inst)
-        if got is None:
-            if opt.exact <= B:
-                violations.append(f"solver said no budget but Opt = {opt.exact} <= {B}")
-        else:
-            if opt.exact > B:
-                violations.append(f"solver returned cost {got[1].exact} but Opt > B")
-            elif got[1].exact != opt.exact:
-                violations.append(f"solver cost {got[1].exact} != Opt {opt.exact}")
-    elif suite == "ratio":
-        report = oracle.check_lossy_ratio(inst)
-        violations.extend(report.violations)
-    elif suite == "exact-kernel":
-        kern = kernel.exact_kernelize(inst)
-        _, opt = oracle.brute_force_opt(inst)
-        _, kopt = oracle.brute_force_opt(kern)
-        if (opt.exact <= inst.B) != (kopt.exact <= kern.B):
-            violations.append(
-                f"decision mismatch: Opt={opt.exact} vs B={inst.B}, "
-                f"kernel Opt={kopt.exact} vs B={kern.B}")
-    elif suite == "structure":
-        best, _ = oracle.brute_force_opt(inst)
-        report = oracle.check_structure(inst, best)
-        violations.extend(report.violations)
-    return desc, violations
-
-
 def _cmd_verify(args) -> int:
-    from . import generators  # noqa: F401  (before the cases, so no case's time includes it)
+    from . import verify
 
-    cases = _verify_cases(args.count, args.seed)
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_verify_case, cases))
-    else:
-        results = [_run_verify_case(c) for c in cases]
-    per_suite = collections.defaultdict(list)
-    for desc, _, seconds in results:
-        per_suite[desc.split("(")[0]].append((seconds, desc))
-    for suite, timings in sorted(per_suite.items()):
-        slowest, slowest_desc = max(timings)
-        _log(f"verify: suite {suite}: {len(timings)} instances, "
-             f"{sum(sec for sec, _ in timings):.2f} s, slowest {slowest_desc} {slowest:.2f} s")
-    failures = [(desc, violations) for desc, violations, _ in results if violations]
-    lines = [f"VIOLATION {desc}: {v}" for desc, violations in failures for v in violations]
-    if failures:
-        lines.append(f"verify: {len(failures)} of {len(cases)} checks failed")
-    else:
-        lines.append(f"verify: all {len(cases)} checks passed")
-    _emit([(None, "".join(line + "\n" for line in lines))])
-    return EXIT_VIOLATION if failures else EXIT_OK
+    log, out, failed = verify.run(args.count, args.seed, args.jobs)
+    for line in log:
+        _log(line)
+    _emit([(None, "".join(line + "\n" for line in out))])
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -367,18 +367,6 @@ def truncated_cost(inst: Instance, c: Clustering) -> CostValue:
     return clustering_cost(inst, c).truncated(inst.B)
 
 
-def cost_with_medians(inst: Instance, c: Clustering, medians: Sequence[Median]) -> CostValue:
-    """Cost of a clustering priced at the given centers (cluster i at medians[i])."""
-    c.validate_equal(inst.by_id, inst.k)
-    if len(medians) != c.k:
-        raise ValueError(f"need {c.k} medians, got {len(medians)}")
-    total = exact_zero(inst.p)
-    for members, med in zip(c.clusters(), medians):
-        pts = [inst.by_id[i] for i in members]
-        total = total + cluster_cost(pts, med, inst.p)
-    return total
-
-
 def identical_groups(points: Iterable[Point]) -> list[list[Point]]:
     """Maximal groups of identical points in order of first occurrence, each by id."""
     groups: dict[tuple[int, ...], list[Point]] = {}

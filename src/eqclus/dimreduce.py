@@ -15,10 +15,10 @@ distinct values in a chained part cannot gap by more than B). Under the
 Hamming norm neither argument holds: a lone coordinate contributes at most 1
 to the distance regardless of the gap, and chained parts may contain
 arbitrarily large values. For p = 0 the pass therefore appends B + 1 sentinel
-coordinates carrying the part index, or none when a single part leaves
-nothing to keep apart, and replaces every kept value by its rank among the
-part's values in that coordinate, which preserves Hamming costs exactly.
-Either way the output dimension stays within k*beta(p,B)*(2B+1) + 1.
+coordinates carrying the part index, and replaces every kept value by its
+rank among the part's values in that coordinate, which preserves Hamming
+costs exactly. Under either norm a single part leaves nothing to keep apart
+and gets no sentinel. The output dimension stays within k*beta(p,B)*(2B+1) + 1.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def reduce_dimension(inst: Instance) -> Instance | None:
         if len({pt.coords for pt in pts}) > k * (2 * B + 1):
             return None
     nonuni = [_nonuniform_coords(pts, inst.dim) for pts in parts_pts]
-    sentinel_width = 1 if p else B + 1 if len(parts_pts) > 1 else 0
+    sentinel_width = 0 if len(parts_pts) == 1 else 1 if p else B + 1
     ell = max(len(nu) for nu in nonuni)
-    if sentinel_width == 0:  # a lone p = 0 part keeps one coordinate even if all are uniform
+    if sentinel_width == 0:  # a lone part keeps one coordinate even if all are uniform
         ell = max(ell, 1)
     kept_coords: list[tuple[int, ...]] = []
     for nu in nonuni:
@@ -148,7 +148,7 @@ def reduce_dimension(inst: Instance) -> Instance | None:
     new_coords: dict[int, tuple[int, ...]] = {}
     for j, (pts, rs) in enumerate(zip(parts_pts, kept_coords)):
         projected = {pt.id: [pt.coords[h] for h in rs] for pt in pts}
-        sentinel = (j,) * sentinel_width if p == 0 else (j * (B + 1),)
+        sentinel = (j if p == 0 else j * (B + 1),) * sentinel_width
         if p == 0:
             ranks = [{v: r for r, v in enumerate(sorted({row[h] for row in projected.values()}))}
                      for h in range(ell)]

@@ -1,29 +1,20 @@
-"""Exhaustive solver and property checkers for desk-scale verification.
+"""Exhaustive solver for desk-scale verification.
 
-Everything here is deliberately independent of the production pipeline: the
-optimum is found by enumerating every canonical equal partition, so it can
-act as ground truth for the polynomial solver, the reductions, and the lossy
-kernel's approximation guarantee.
+Everything here is deliberately independent of the production pipeline, and
+imports nothing of it but the domain types of `core`: the optimum is found by
+enumerating every canonical equal partition, and clusters are priced by this
+module's own rule, so it can act as ground truth for the polynomial solver,
+the reductions, and the lossy kernel's approximation guarantee. The suites
+that check those claims against it are in `eqclus.verify`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .core import (
-    Clustering,
-    CostValue,
-    Instance,
-    Median,
-    cluster_cost,
-    clustering_cost,
-    cost_with_medians,
-    identical_groups,
-    optimum_median,
-)
-from .kernel import BRANCH_GENERIC, lift_solution, lossy_kernelize
+from .core import Clustering, CostValue, Instance, Median, cluster_cost
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -84,6 +75,12 @@ def _cluster_cost(coords, members, p: int) -> int:
             med = sorted(vals)[(len(vals) - 1) // 2]
             total += sum(abs(v - med) for v in vals)
     return total
+
+
+def exact_clustering_cost(inst: Instance, clustering: Clustering) -> int:
+    """Cost of a clustering of `inst` (p in {0, 1}), priced by this module's own rule."""
+    coords = {pt.id: pt.coords for pt in inst.points}
+    return sum(_cluster_cost(coords, members, inst.p) for members in clustering.clusters())
 
 
 def best_equal_partition(coords, k: int, p: int) -> tuple[int, list[int]]:
@@ -181,149 +178,3 @@ def min_assignment_cost_exhaustive(inst: Instance, medians: Sequence[Median]) ->
 def canonical_clusters(c: Clustering) -> tuple[tuple[int, ...], ...]:
     """Order-free form of a clustering for equality comparisons."""
     return tuple(sorted(tuple(sorted(m)) for m in c.clusters()))
-
-
-# ---------------------------------------------------------------------------
-# property checks
-
-class RatioReport(NamedTuple):
-    branch: str
-    opt_truncated: int
-    lifted_truncated: int
-    violations: list[str]  # a fresh list per report, filled by the checker
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def ratio(self) -> float:
-        if self.opt_truncated == 0:
-            return 1.0
-        return self.lifted_truncated / self.opt_truncated
-
-
-def check_lossy_ratio(inst: Instance) -> RatioReport:
-    """Kernelize, solve the kernel optimally, lift, and compare to ground truth.
-
-    With the kernel solved exactly, the lifted truncated cost must lie between
-    Opt(X, k, B) and twice it.
-    """
-    B = inst.B
-    _, opt_cost = brute_force_opt(inst)
-    opt_trunc = min(opt_cost.exact, B + 1)
-    kernel, ctx = lossy_kernelize(inst)
-    kernel_solution, _ = brute_force_opt(kernel)
-    lifted = lift_solution(ctx, kernel_solution)
-    lifted.validate_equal(inst.by_id, inst.k)
-    coords = {pt.id: pt.coords for pt in inst.points}
-    lifted_trunc = min(sum(_cluster_cost(coords, members, inst.p)
-                           for members in lifted.clusters()), B + 1)
-    report = RatioReport(ctx.branch, opt_trunc, lifted_trunc, [])
-    if lifted_trunc > 2 * opt_trunc:
-        report.violations.append(
-            f"lifted truncated cost {lifted_trunc} exceeds 2*Opt = {2 * opt_trunc}")
-    if lifted_trunc < opt_trunc:
-        report.violations.append(
-            f"lifted truncated cost {lifted_trunc} below Opt = {opt_trunc}")
-    if ctx.branch == BRANCH_GENERIC:
-        report.violations.extend(_kernel_size_violations(kernel, B))
-    return report
-
-
-def coordinate_budget_exponent(p: int, B: int) -> int:
-    """Bound on how many coordinates two points within distance B can differ in.
-
-    B for p <= 1 (a Hamming or Manhattan distance of B touches at most B
-    coordinates), B^p for p >= 2.
-    """
-    return B if p <= 1 else B ** p
-
-
-def _kernel_size_violations(kernel: Instance, B: int) -> list[str]:
-    out = []
-    kp = kernel.k
-    b2 = 2 * B
-    if kernel.n > 8 * B * B:
-        out.append(f"kernel has {kernel.n} points > 8B^2 = {8 * B * B}")
-    if kp > b2:
-        out.append(f"kernel has k' = {kp} > 2B = {b2}")
-    dim_bound = kp * coordinate_budget_exponent(kernel.p, b2) * (2 * b2 + 1) + 1
-    if kernel.dim > dim_bound:
-        out.append(f"kernel dimension {kernel.dim} > bound {dim_bound}")
-    coord_bound = max(b2 * (kp * (2 * b2 + 1) - 1), (kp - 1) * (b2 + 1))
-    worst = max((abs(c) for pt in kernel.points for c in pt.coords), default=0)
-    if worst > coord_bound:
-        out.append(f"kernel coordinate magnitude {worst} > bound {coord_bound}")
-    return out
-
-
-class StructureReport(NamedTuple):
-    cost: int
-    within_budget: bool
-    violations: list[str]  # a fresh list per report, filled by the checker
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_structure(inst: Instance, clustering: Clustering) -> StructureReport:
-    """Structural laws of a within-budget clustering.
-
-    Checks that every cluster contains at least s - 2B identical points, and
-    that forcing any full block of s identical points into one cluster by
-    pairwise swaps raises the cost (priced at the original centers, with the
-    target center moved onto the block) by at most s times the block-to-center
-    distance.
-    """
-    cost = clustering_cost(inst, clustering)
-    report = StructureReport(cost.exact if cost.exact is not None else -1,
-                             cost.leq(inst.B), [])
-    s, B = inst.s, inst.B
-    clusters = clustering.clusters()
-    medians = []
-    for members in clusters:
-        med, _ = optimum_median([inst.by_id[i] for i in members], inst.p)
-        medians.append(med)
-    if report.within_budget:
-        need = s - 2 * B
-        for idx, members in enumerate(clusters, start=1):
-            groups = identical_groups([inst.by_id[i] for i in members])
-            biggest = max(len(g) for g in groups)
-            if biggest < need:
-                report.violations.append(
-                    f"cluster {idx} has only {biggest} identical points, needs {need}")
-    for group in inst.groups:
-        if len(group) < s:
-            continue
-        block = group[:s]
-        swapped = _force_block_first(clustering, [pt.id for pt in block])
-        base = cost_with_medians(inst, clustering, medians)
-        moved = list(medians)
-        moved[0] = Median.from_point(block[0])
-        after = cost_with_medians(inst, swapped, moved)
-        allowance = cluster_cost([block[0]], medians[0], inst.p)
-        bound = base.amount + s * allowance.amount
-        if type(bound) is not int:  # float costs (p >= 2) get a rounding slack
-            bound += 1e-9
-        if after.amount > bound:
-            report.violations.append(
-                f"exchange bound violated for block at {block[0].coords}: "
-                f"{after.amount} > {bound}")
-    return report
-
-
-def _force_block_first(clustering: Clustering, block_ids: list[int]) -> Clustering:
-    """Swap members pairwise so cluster 1 becomes exactly the given block."""
-    clusters = [list(m) for m in clustering.clusters()]
-    block = set(block_ids)
-    outside = [pid for pid in sorted(block) if pid not in clusters[0]]
-    inside_other = [pid for pid in clusters[0] if pid not in block]
-    for pid_in, pid_out in zip(outside, inside_other):
-        donor = next(i for i, m in enumerate(clusters) if pid_in in m)
-        clusters[donor].remove(pid_in)
-        clusters[donor].append(pid_out)
-        clusters[0].remove(pid_out)
-        clusters[0].append(pid_in)
-    return Clustering.from_clusters(clusters)

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import eqclus
+from eqclus import verify
 from eqclus.cli import (
     EXIT_FORMAT,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VIOLATION,
     main,
 )
 from eqclus.core import clustering_cost, make_instance
@@ -200,7 +202,7 @@ def test_exact_kernelize_mode(tmp_path, capsys):
     assert main(["kernelize", inst_f, "--mode", "exact", "-o", kern_f]) == EXIT_OK
     with open(kern_f, encoding="utf-8") as fh:
         kern = parse_instance(fh.read())
-    assert [pt.coords for pt in kern.points] == [(0, 0), (1, 0)]
+    assert [pt.coords for pt in kern.points] == [(0,), (1,)]
 
 
 def test_solve_large_reports_nobudget(tmp_path, capsys):
@@ -233,6 +235,21 @@ def test_solve_matching_against_median_file(tmp_path, capsys):
     with open(out_f, encoding="utf-8") as fh:
         clustering = parse_clustering(fh.read(), inst.ids())
     assert clustering.clusters() == [[0, 1], [2, 3]]
+
+
+def test_medians_that_do_not_fit_the_instance_are_a_file_error(tmp_path, capsys):
+    inst_f = write(tmp_path / "i.ecl", format_instance(
+        make_instance([(0, 0), (1, 1), (2, 2), (9, 9)], p=1, k=2, B=0)))
+    three_f = write(tmp_path / "three.ecl", format_instance(
+        make_instance([(0, 0), (1, 1), (9, 9)], p=1, k=1, B=0)))
+    cube_f = write(tmp_path / "cube.ecl", format_instance(
+        make_instance([(0, 0, 0), (9, 9, 9)], p=1, k=1, B=0)))
+    for meds_f, err in ((three_f, "error: medians file has 3 points, instance needs k = 2\n"),
+                        (cube_f, "error: medians file has dimension 3, "
+                                 "instance has dimension 2\n")):
+        assert main(["solve", inst_f, "--method", "matching", "--medians", meds_f]) == EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
 
 
 def test_reduce_rsm_planted_evaluates_to_budget(tmp_path, capsys):
@@ -537,6 +554,17 @@ def test_verify_parallel_jobs(capsys):
     assert_suite_timings(captured.err, 2)
 
 
+def test_verify_reports_each_violation_and_fails(monkeypatch, capsys):
+    monkeypatch.setitem(verify.SUITES, "ratio", lambda inst: [f"planted at n={inst.n}"])
+    assert main(["verify", "--count", "2", "--seed", "11"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "VIOLATION ratio(n=8,k=2,B=1,p=0,seed=1152019): planted at n=8\n"
+        "VIOLATION ratio(n=8,k=4,B=1,p=1,seed=1152020): planted at n=8\n"
+        "verify: 2 of 8 checks failed\n")
+    assert_suite_timings(captured.err, 2)
+
+
 @pytest.mark.parametrize("flags", [["--count", "0"], ["--count", "-1"],
                                    ["--jobs", "0"], ["--jobs", "-2"]])
 def test_verify_rejects_a_run_that_checks_nothing(flags, capsys):
@@ -592,6 +620,27 @@ def test_generator_commands_import_generators_themselves(tmp_path):
                                    inst.ids())
         assert len(planted.assignment) == inst.n and planted.k == inst.k
     assert proc.stdout == "verify: all 4 checks passed\n"
+
+
+def test_verify_and_oracle_layering():
+    # only the verify command loads eqclus.verify; the oracle imports nothing
+    # of the pipeline. The package's __init__ re-exports the kernel, so the
+    # oracle is loaded under a bare package, where only its own imports run.
+    src = str(Path(eqclus.__file__).resolve().parent.parent)
+
+    def loaded(code: str) -> set[str]:
+        probe = f"import sys, types; sys.path.insert(0, sys.argv[1]); {code}; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                              capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    assert "eqclus.verify" not in loaded("import eqclus.cli")
+    bare = ("pkg = types.ModuleType('eqclus'); pkg.__path__ = [sys.argv[1] + '/eqclus']; "
+            "sys.modules['eqclus'] = pkg; import eqclus.oracle")
+    modules = loaded(bare)
+    assert "eqclus.oracle" in modules
+    pipeline = {"eqclus.kernel", "eqclus.dimreduce", "eqclus.exact_large", "eqclus.assign"}
+    assert pipeline & modules == set()
 
 
 def test_console_entry_point_round_trip(tmp_path):

@@ -7,7 +7,8 @@ from eqclus import dimreduce
 from eqclus.core import Clustering, clustering_cost, distance_leq_budget, make_instance
 from eqclus.dimreduce import greedy_partition, reduce_dimension
 from eqclus.generators import gen_random
-from eqclus.oracle import coordinate_budget_exponent, enumerate_equal_partitions
+from eqclus.oracle import enumerate_equal_partitions
+from eqclus.verify import coordinate_budget_exponent
 
 
 def test_partition_by_chaining():
@@ -99,9 +100,9 @@ def test_partition_checks_grow_linearly_on_separated_clusters(p, monkeypatch):
 def test_reduce_hand_trace():
     inst = make_instance([(7, 0), (7, 1)], p=1, k=1, B=1)
     reduced = reduce_dimension(inst)
-    # the uniform first coordinate is dropped and the sentinel (0,) appended
-    assert [pt.coords for pt in reduced.points] == [(0, 0), (1, 0)]
-    assert reduced.dim == 2
+    # the uniform first coordinate is dropped, and one part gets no sentinel
+    assert [pt.coords for pt in reduced.points] == [(0,), (1,)]
+    assert reduced.dim == 1
     # the one cluster costs 1 before and after
     c = Clustering({0: 1, 1: 1}, 1)
     assert clustering_cost(inst, c).exact == 1

@@ -13,11 +13,10 @@ from eqclus.oracle import (
     best_equal_partition,
     brute_force_opt,
     canonical_clusters,
-    check_lossy_ratio,
-    check_structure,
     enumerate_equal_partitions,
     partition_count,
 )
+from eqclus.verify import check_lossy_ratio, check_structure
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +235,13 @@ def test_engine_single_cluster_cost_matches_median_routine(p):
 
 
 # ---------------------------------------------------------------------------
-# reports
+# eqclus.verify's checkers against the exhaustive optimum
 
 def test_ratio_report_zero_optimum_counts_as_ratio_one():
+    # Opt = 0, so no violation means the lifted clustering costs 0 as well
     inst = make_instance([(3,)] * 6, p=1, k=2, B=1)
-    report = check_lossy_ratio(inst)
-    assert report.ok
-    assert report.opt_truncated == 0 and report.lifted_truncated == 0
-    assert report.ratio == 1.0
+    assert brute_force_opt(inst)[1].exact == 0
+    assert check_lossy_ratio(inst) == []
 
 
 def test_ratio_report_on_random_batch():
@@ -251,17 +249,14 @@ def test_ratio_report_on_random_batch():
     for _ in range(15):
         inst = gen_random(n=12, k=3, d=2, coord_bound=2, p=rng.choice([0, 1]),
                           B=rng.randint(1, 3), seed=rng.randrange(10**6))
-        report = check_lossy_ratio(inst)
-        assert report.ok, report.violations
-        assert report.ratio <= 2.0
+        assert check_lossy_ratio(inst) == []
 
 
 def test_structure_report_on_large_regime_optimum():
     inst = make_instance([(0,)] * 5 + [(5,)] * 4 + [(6,)], p=1, k=2, B=1)
-    clustering, _ = solve_large(inst)
-    report = check_structure(inst, clustering)
-    assert report.ok, report.violations
-    assert report.within_budget
+    clustering, cost = solve_large(inst)
+    assert cost.leq(inst.B)  # so the identical-points law is checked as well
+    assert check_structure(inst, clustering) == []
 
 
 def test_structure_report_flags_nothing_on_exhaustive_optima():
@@ -270,8 +265,7 @@ def test_structure_report_flags_nothing_on_exhaustive_optima():
         inst = gen_random(n=8, k=2, d=1, coord_bound=1, p=1, B=2,
                           seed=rng.randrange(10**6))
         best, _ = brute_force_opt(inst)
-        report = check_structure(inst, best)
-        assert report.ok, report.violations
+        assert check_structure(inst, best) == []
 
 
 def test_structure_exchange_bound_is_exact_for_p1_at_large_coordinates():
@@ -281,5 +275,4 @@ def test_structure_exchange_bound_is_exact_for_p1_at_large_coordinates():
     rows = [2, big, -2, 0, big, 0, 2 * big + 3, big - 1]
     inst = make_instance([(v,) for v in rows], p=1, k=4, B=0)
     clustering = Clustering({0: 1, 1: 1, 4: 2, 5: 2, 6: 3, 7: 3, 2: 4, 3: 4}, 4)
-    report = check_structure(inst, clustering)
-    assert report.violations == []
+    assert check_structure(inst, clustering) == []
