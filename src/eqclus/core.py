@@ -28,7 +28,7 @@ class InvalidClusteringError(ValueError):
 
 
 class Point(NamedTuple):
-    """Integer vector plus a stable nonnegative id, unique within an instance."""
+    """Integer vector plus a stable nonnegative id; ids increase along an instance."""
 
     coords: tuple[int, ...]
     id: int
@@ -77,7 +77,8 @@ class Instance:
     """A nonempty multiset of points with norm index p, cluster count k, and budget B.
 
     k must be at least 1 and divide n, so the common cluster size s = n/k is
-    at least 1; the dimension is read off the first point.
+    at least 1; the dimension is read off the first point. Ids increase along
+    the points, so point order is id order.
 
     Immutable, equal and hashed by (points, p, k, B). A plain class rather
     than a NamedTuple, because the cached `by_id` and `groups` live in the
@@ -97,18 +98,18 @@ class Instance:
         if n < k:
             raise InvalidInstanceError(f"need n >= k for cluster size >= 1 (n={n}, k={k})")
         dim = len(points[0].coords)
+        last_id = -1
         for pt in points:
             if len(pt.coords) != dim:
                 raise InvalidInstanceError("points of mixed dimension")
-            if type(pt.id) is not int or pt.id < 0:
-                raise InvalidInstanceError("point ids must be nonnegative integers")
+            if type(pt.id) is not int or pt.id <= last_id:
+                raise InvalidInstanceError("point ids must be increasing nonnegative integers")
+            last_id = pt.id
             for c in pt.coords:
                 if type(c) is not int:  # bool is an int subclass, and not a coordinate
                     raise InvalidInstanceError("coordinates must be integers")
         if dim < 1:
             raise InvalidInstanceError("dimension must be >= 1")
-        if len({pt.id for pt in points}) != n:
-            raise InvalidInstanceError("point ids must be unique")
         self.__dict__.update(points=points, p=p, k=k, B=B, dim=dim)
 
     def _key(self) -> tuple:
@@ -217,12 +218,10 @@ def _center_distance(coords: Sequence[int], center: Sequence[float], p: int) -> 
         return sum(1 for a, c in zip(coords, center) if a != c)
     if p == 1:
         total = 0
-        integral = True
         for a, c in zip(coords, center):
+            if isinstance(c, float) and c.is_integer():
+                c = int(c)  # an integral gap stays exact at any size
             total += abs(a - c)
-            integral = integral and (isinstance(c, int) or float(c).is_integer())
-        if integral:
-            return int(round(total))
         return total
     acc = sum(abs(a - c) ** p for a, c in zip(coords, center))
     try:
@@ -368,11 +367,11 @@ def truncated_cost(inst: Instance, c: Clustering) -> CostValue:
 
 
 def identical_groups(points: Iterable[Point]) -> list[list[Point]]:
-    """Maximal groups of identical points in order of first occurrence, each by id."""
+    """Maximal groups of identical points in order of first occurrence, each in point order."""
     groups: dict[tuple[int, ...], list[Point]] = {}
     for pt in points:
         groups.setdefault(pt.coords, []).append(pt)
-    return [sorted(group, key=lambda pt: pt.id) for group in groups.values()]
+    return list(groups.values())
 
 
 def extract_full_blocks(inst: Instance) -> tuple[list[tuple[Point, ...]], Instance | None]:

@@ -71,9 +71,7 @@ def greedy_partition(inst: Instance) -> list[list[int]]:
     Members join in the order that scan gives them, and no pair is checked
     twice, so the checks made are a subset of the all-pairs scan's.
     """
-    groups = sorted(inst.groups, key=lambda grp: grp[0].id)
-    if not groups:
-        return []
+    groups = inst.groups  # in order of their lowest ids
     reps = [grp[0] for grp in groups]
     filed, probed = _neighbour_keys([pt.coords for pt in reps], inst.p, inst.B)
     buckets: dict = {}

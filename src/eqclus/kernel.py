@@ -9,7 +9,7 @@ kernel's size depends on the budget alone. Both reductions and the block
 removal keep point ids and point order, so lifting is index work alone: a
 context carries the original's ids and k, and on a YES branch the clusters
 fixed before the kernel (the removed blocks, or the large-regime optimum).
-The generic kernel's points are the original's less the blocks', in input
+The generic kernel's points are the original's less the blocks', in id
 order (`LiftContext.kernel_ids`). A NO branch lifts to an arbitrary
 clustering; a YES branch lifts to the fixed clusters followed by the kernel's
 clusters.
@@ -48,13 +48,12 @@ class LiftContext(NamedTuple):
     """Everything needed to map a kernel clustering back to the original instance."""
 
     branch: str
-    ids: tuple[int, ...]  # the original's point ids, in input order
+    ids: tuple[int, ...]  # the original's point ids, increasing
     k: int                # the original's cluster count
     blocks: tuple[tuple[int, ...], ...] | None = None  # fixed clusters of a YES branch
 
     def kernel_ids(self) -> list[int]:
-        """The generic kernel's point ids, in its point order: the original's ids
-        less the blocks', in input order."""
+        """The generic kernel's point ids, increasing: the original's ids less the blocks'."""
         removed = {pid for blk in self.blocks for pid in blk}
         return [pid for pid in self.ids if pid not in removed]
 
@@ -70,7 +69,6 @@ def trivial_yes_instance(p: int) -> Instance:
 
 
 def _arbitrary_clustering(ids: tuple[int, ...], k: int) -> Clustering:
-    ids = sorted(ids)
     s = len(ids) // k
     return Clustering.from_clusters([ids[i * s:(i + 1) * s] for i in range(k)])
 
@@ -213,8 +211,9 @@ def load_context(fp: IO[str]) -> LiftContext:
         raise FormatError(f"lift context: unknown branch {branch!r}")
     _check_fields(doc["original"], {"k": int, "ids": list})
     ids, k = doc["original"]["ids"], doc["original"]["k"]
-    if not _are_ids(ids) or any(i < 0 for i in ids) or len(set(ids)) != len(ids):
-        raise FormatError("lift context: the original's ids must be unique nonnegative integers")
+    if not _are_ids(ids) or any(a >= b for a, b in zip([-1, *ids], ids)):
+        raise FormatError(
+            "lift context: the original's ids must be increasing nonnegative integers")
     if k < 1 or len(ids) < k or len(ids) % k:
         raise FormatError(f"lift context: k = {k} does not split {len(ids)} ids equally")
     blocks = doc["blocks"]

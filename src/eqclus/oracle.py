@@ -146,9 +146,8 @@ def brute_force_opt(inst: Instance) -> tuple[Clustering, CostValue]:
     if inst.p not in (0, 1):
         raise ValueError("exhaustive optimum is exact only for p in {0, 1}")
     _check_guard(inst.n, inst.k)
-    pts = sorted(inst.points, key=lambda pt: pt.id)
-    cost, assign = best_equal_partition([pt.coords for pt in pts], inst.k, inst.p)
-    clustering = Clustering({pt.id: c + 1 for pt, c in zip(pts, assign)}, inst.k)
+    cost, assign = best_equal_partition([pt.coords for pt in inst.points], inst.k, inst.p)
+    clustering = Clustering({pt.id: c + 1 for pt, c in zip(inst.points, assign)}, inst.k)
     return clustering, CostValue(cost)
 
 
@@ -161,7 +160,7 @@ def min_assignment_cost_exhaustive(inst: Instance, medians: Sequence[Median]) ->
     if len(medians) != inst.k:
         raise ValueError("median count must equal k")
     _check_guard(inst.n, inst.k)
-    ids = tuple(sorted(inst.by_id))
+    ids = tuple(inst.ids())
     best: CostValue | None = None
     for parts in _canonical_partitions(ids, inst.k):
         # parts are unordered: also minimize over which median serves which part

@@ -129,7 +129,7 @@ def _force_block_first(clustering: Clustering, block_ids: list[int]) -> Clusteri
     """Swap members pairwise so cluster 1 becomes exactly the given block."""
     clusters = [list(m) for m in clustering.clusters()]
     block = set(block_ids)
-    outside = [pid for pid in sorted(block) if pid not in clusters[0]]
+    outside = [pid for pid in block_ids if pid not in clusters[0]]
     inside_other = [pid for pid in clusters[0] if pid not in block]
     for pid_in, pid_out in zip(outside, inside_other):
         donor = next(i for i, m in enumerate(clusters) if pid_in in m)

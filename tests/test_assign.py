@@ -129,6 +129,9 @@ def test_assignment_requires_k_medians():
     inst = make_instance([(0,), (1,)], p=1, k=2, B=0)
     with pytest.raises(ValueError):
         assign_to_medians(inst, medians((0,)))
+    # k medians, but of the wrong dimension
+    with pytest.raises(ValueError):
+        assign_to_medians(inst, medians((0, 0), (1, 1)))
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -219,10 +222,10 @@ def test_group_beyond_budget_of_every_center_is_infeasible(monkeypatch):
 def test_identical_points_fill_clusters_lowest_id_first():
     # four copies of (0,) and two of (3,); the zeros split 3 / 1
     inst = make_instance([(0,), (3,), (0,), (0,), (3,), (0,)], p=1, k=2, B=0,
-                         ids=[8, 1, 5, 2, 4, 9])
+                         ids=[1, 2, 4, 5, 8, 9])
     clustering, cost = assign_to_medians(inst, medians((0,), (3,)))
     assert cost.exact == 3
-    assert clustering.clusters() == [[2, 5, 8], [1, 4, 9]]
+    assert clustering.clusters() == [[1, 4, 5], [2, 8, 9]]
 
 
 def test_float_costs_terminate_at_the_exhaustive_minimum():

@@ -293,10 +293,32 @@ def test_exit_codes(tmp_path, capsys):
         assert main(argv) == EXIT_INFEASIBLE
         assert capsys.readouterr().err.splitlines() == ["error: k must be >= 1, got 0"]
     assert not os.path.exists(ctx_f)
+    # a bad header, no points, a missing or needless flag: one error line each
+    two_f = write(tmp_path / "two.ecl", "ECL 1\n1 1 2 1 0\n0\n1\n")
+    pair_f = write(tmp_path / "pair.asg", "ASSIGN 1 2 1\n1\n1\n")
+    for argv, code, err in (
+            (["eval", write(tmp_path / "d0.ecl", "ECL 1\n1 0 2 1 0\n"), pair_f], EXIT_FORMAT,
+             "error: instance: bad header dimensions"),
+            (["eval", two_f, write(tmp_path / "k0.asg", "ASSIGN 1 2 0\n1\n1\n")], EXIT_FORMAT,
+             "error: clustering: bad header"),
+            (["eval", write(tmp_path / "n0.ecl", "ECL 1\n1 1 0 1 0\n"), pair_f], EXIT_INFEASIBLE,
+             "error: need n >= k for cluster size >= 1 (n=0, k=1)"),
+            (["solve", two_f, "--method", "matching"], EXIT_USAGE,
+             "usage error: --method matching requires --medians FILE"),
+            (["gen", "--planted", "--n", "10", "--k", "3"], EXIT_INFEASIBLE,
+             "error: n = 10 is not divisible by k = 3")):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [err]
     # usage errors exit with 2 via argparse
-    with pytest.raises(SystemExit) as exc:
-        main(["kernelize", junk_f, "--mode", "lossy"])
-    assert exc.value.code == 2
+    for argv in (["kernelize", junk_f, "--mode", "lossy"],
+                 ["kernelize", two_f, "--mode", "exact", "--ctx", ctx_f]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "eqclus: error: --ctx applies only to --mode lossy (exact kernels need no lifting)")
+    assert not os.path.exists(ctx_f)
     # guard overflow
     big = make_instance([(i,) for i in range(20)], p=1, k=10, B=0)
     big_f = write(tmp_path / "big.ecl", format_instance(big))
@@ -379,7 +401,7 @@ V2_GENERIC_CONTEXT = json.dumps({
     "blocks": [[2, 5, 6, 8]]})
 
 NOT_V3 = "not an ECLCTX version 3 file"
-NOT_IDS = "the original's ids must be unique nonnegative integers"
+NOT_IDS = "the original's ids must be increasing nonnegative integers"
 NOT_BLOCK_IDS = "the blocks must be lists of integer ids"
 NOT_DISJOINT = "the blocks are not disjoint sets of the original's ids"
 NOT_FITTING = "the blocks do not fit the original's k"
@@ -401,6 +423,8 @@ NOT_FITTING = "the blocks do not fit the original's k"
     pytest.param(_context("large-no", ids=(0, 0)), NOT_IDS, id="v3-duplicate-ids"),
     pytest.param(_context("large-no", ids=(-1, 0)), NOT_IDS, id="v3-negative-id"),
     pytest.param(_context("large-no", ids=(False, True)), NOT_IDS, id="v3-bool-ids"),
+    pytest.param(_context("large-no", ids=(1, 0)), NOT_IDS, id="v3-decreasing-ids"),
+    pytest.param(_context("weird"), "unknown branch 'weird'", id="v3-unknown-branch"),
     pytest.param(_context("large-no", k=0), "k = 0 does not split 2 ids equally",
                  id="v3-k-zero"),
     pytest.param(_context("large-no", ids=(0, 1, 2), k=2), "k = 2 does not split 3 ids equally",
@@ -624,23 +648,18 @@ def test_generator_commands_import_generators_themselves(tmp_path):
 
 def test_verify_and_oracle_layering():
     # only the verify command loads eqclus.verify; the oracle imports nothing
-    # of the pipeline. The package's __init__ re-exports the kernel, so the
-    # oracle is loaded under a bare package, where only its own imports run.
+    # of the pipeline, and the package root imports nothing at all
     src = str(Path(eqclus.__file__).resolve().parent.parent)
 
-    def loaded(code: str) -> set[str]:
-        probe = f"import sys, types; sys.path.insert(0, sys.argv[1]); {code}; print(*sys.modules)"
+    def loaded(module: str) -> set[str]:
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 f"import {module}; print(*sys.modules)")
         proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
                               capture_output=True, text=True, check=True)
-        return set(proc.stdout.split())
+        return {name for name in proc.stdout.split() if name.partition(".")[0] == "eqclus"}
 
-    assert "eqclus.verify" not in loaded("import eqclus.cli")
-    bare = ("pkg = types.ModuleType('eqclus'); pkg.__path__ = [sys.argv[1] + '/eqclus']; "
-            "sys.modules['eqclus'] = pkg; import eqclus.oracle")
-    modules = loaded(bare)
-    assert "eqclus.oracle" in modules
-    pipeline = {"eqclus.kernel", "eqclus.dimreduce", "eqclus.exact_large", "eqclus.assign"}
-    assert pipeline & modules == set()
+    assert "eqclus.verify" not in loaded("eqclus.cli")
+    assert loaded("eqclus.oracle") == {"eqclus", "eqclus.core", "eqclus.oracle"}
 
 
 def test_console_entry_point_round_trip(tmp_path):

@@ -142,6 +142,9 @@ def test_cluster_cost_sums_exactly_or_left_to_right():
     big = 2 ** 60
     members = pts((big,), (big + 1,), (0,))
     assert cluster_cost(members, Median((0,)), 1).exact == 2 * big + 1
+    # an integral float center is exact too, beyond the 53-bit float mantissa
+    assert cluster_cost(pts((big + 1,)), Median((0.0,)), 1).exact == big + 1
+    assert lp_distance(Point((big + 1,), 0), Median((0.0,)), 1).exact == big + 1
     members = pts((0, 0), (1, 1), (2, 3), (5, 1), (1, 7))
     center = Median((1, 2))
     want = 0.0
@@ -263,8 +266,10 @@ def test_instance_requires_divisibility():
 
 
 def test_instance_rejects_duplicate_ids():
-    with pytest.raises(InvalidInstanceError):
-        make_instance([(0,), (1,)], p=1, k=1, B=0, ids=[0, 0])
+    # ids increase along the points, so a repeated or a decreasing id is rejected
+    for ids in ([0, 0], [1, 0]):
+        with pytest.raises(InvalidInstanceError):
+            make_instance([(0,), (1,)], p=1, k=1, B=0, ids=ids)
 
 
 def test_instance_rejects_mixed_dimension():

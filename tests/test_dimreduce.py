@@ -68,7 +68,7 @@ def test_partition_matches_per_point_closure(monkeypatch):
             rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
             if rng.random() < 0.1:  # a single distinct vector
                 rows = [rows[0]] * n
-            inst = make_instance(rows, p=p, k=1, B=B, ids=rng.sample(range(50), n))
+            inst = make_instance(rows, p=p, k=1, B=B, ids=sorted(rng.sample(range(50), n)))
             checked.clear()
             assert greedy_partition(inst) == _per_point_partition(inst)
             assert len(checked) == len(set(checked))  # no pair checked twice
@@ -114,7 +114,7 @@ def test_reduce_reports_no_budget_when_parts_exceed_k():
     assert reduce_dimension(inst) is None
 
 
-def test_reduce_uniform_instance_collapses_to_sentinel_only():
+def test_reduce_lone_uniform_part_keeps_one_zeroed_coordinate():
     inst = make_instance([(5, 5, 5)] * 6, p=1, k=3, B=2)
     reduced = reduce_dimension(inst)
     assert reduced.dim == 1

@@ -54,6 +54,19 @@ def test_planted_cost_bounded_by_per_point_noise():
     assert clustering_cost(inst, planted).exact <= k * s * noise * d
 
 
+def test_planted_hamming_noise_stays_near_separated_centers():
+    k, s, d, spread, noise = 3, 5, 6, 4, 2
+    inst, planted = gen_planted(k=k, s=s, d=d, spread=spread, noise=noise, p=0, seed=7)
+    # noise is the only random draw, so without it every point sits on its center
+    centers, _ = gen_planted(k=k, s=s, d=d, spread=spread, noise=0, p=0, seed=7)
+    gaps = [lp_distance(pt, ctr, 0).exact for pt, ctr in zip(inst.points, centers.points)]
+    assert max(gaps) <= noise and any(gaps)
+    distinct = centers.points[::s]
+    assert all(lp_distance(a, b, 0).exact >= min(spread, d)
+               for a, b in itertools.combinations(distinct, 2))
+    assert clustering_cost(inst, planted).exact <= k * s * noise
+
+
 def test_planted_hamming_needs_enough_dimensions():
     with pytest.raises(ValueError):
         gen_planted(k=2, s=2, d=2, spread=3, noise=0, p=0, seed=0)
