@@ -15,9 +15,6 @@ from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-FERMAT_WEBER_TOL = 1e-9
-FERMAT_WEBER_MAX_ITER = 10_000
-
 
 class InvalidInstanceError(ValueError):
     """Structural requirement on an instance is violated (e.g. k does not divide n)."""
@@ -289,47 +286,13 @@ def _lower_median(points: Sequence[Point]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _weiszfeld(points: Sequence[Point]) -> tuple[float, ...]:
-    import numpy as np
-
-    arr = np.asarray([pt.coords for pt in points], dtype=float)
-    c = arr.mean(axis=0)
-    prev = None
-    for _ in range(FERMAT_WEBER_MAX_ITER):
-        diff = arr - c
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        dist = np.maximum(dist, 1e-12)
-        w = 1.0 / dist
-        c = (arr * w[:, None]).sum(axis=0) / w.sum()
-        obj = float(dist.sum())
-        if prev is not None and abs(prev - obj) <= FERMAT_WEBER_TOL * max(obj, 1.0):
-            break
-        prev = obj
-    return tuple(float(v) for v in c)
-
-
-def _iterative_lp_median(points: Sequence[Point], p: int) -> tuple[float, ...]:
-    # p >= 3: derivative-free convex minimization of the l_p median objective
-    import numpy as np
-    from scipy.optimize import minimize
-
-    arr = np.asarray([pt.coords for pt in points], dtype=float)
-
-    def objective(c):
-        return float(((np.abs(arr - c) ** p).sum(axis=1) ** (1.0 / p)).sum())
-
-    res = minimize(objective, arr.mean(axis=0), method="Powell",
-                   options={"xtol": FERMAT_WEBER_TOL, "ftol": FERMAT_WEBER_TOL,
-                            "maxiter": FERMAT_WEBER_MAX_ITER, "maxfev": 200_000})
-    return tuple(float(v) for v in res.x)
-
-
 def optimum_median(points: Sequence[Point], p: int) -> tuple[Median, CostValue]:
     """An optimum (for p in {0, 1}: exact, coordinatewise) median and its cost.
 
     p = 0 uses the per-coordinate majority value with ties broken toward the
-    smallest value; p = 1 the per-coordinate lower median; p >= 2 an iterative
-    approximation (exact only when all members coincide).
+    smallest value; p = 1 the per-coordinate lower median; p >= 2
+    `eqclus.lp_median`, a conjugate-gradient descent that is exact when a
+    member is optimal.
     """
     if not points:
         raise ValueError("optimum_median on empty collection")
@@ -343,10 +306,10 @@ def optimum_median(points: Sequence[Point], p: int) -> tuple[Median, CostValue]:
         med = Median(_majority_median(points))
     elif p == 1:
         med = Median(_lower_median(points))
-    elif p == 2:
-        med = Median(_weiszfeld(points))
     else:
-        med = Median(_iterative_lp_median(points, p))
+        from .lp_median import lp_median  # compiled only by the first p >= 2 median
+
+        return lp_median(points, p)
     return med, cluster_cost(points, med, p)
 
 

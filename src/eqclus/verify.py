@@ -7,7 +7,7 @@ this module, so no other command compiles it.
 
 from __future__ import annotations
 
-import collections
+import contextlib
 import time
 
 from . import generators, kernel, oracle
@@ -181,14 +181,17 @@ SUITES = {
 }
 
 
-def cases(count: int, seed: int) -> list[tuple]:
-    """`count` rounds of one case per suite: (suite, n, k, coordinate bound, B, p, seed)."""
+ROUNDS_PER_BATCH = 64  # cases are drawn and run this many rounds at a time
+
+
+def cases(rounds: range, seed: int) -> list[tuple]:
+    """One case per suite for each round: (suite, n, k, coordinate bound, B, p, seed)."""
     large_params = [(6, 3, 1, 0), (8, 4, 2, 0), (10, 2, 1, 1), (12, 2, 2, 1),
                     (9, 1, 2, 2), (12, 6, 1, 0), (10, 5, 2, 0), (12, 1, 3, 2)]
     small_params = [(8, 2, 2, 1), (8, 4, 1, 1), (12, 3, 2, 1), (6, 3, 1, 1),
                     (12, 6, 2, 1), (10, 2, 3, 2), (12, 4, 2, 1), (9, 3, 2, 1)]
     out = []
-    for i in range(count):
+    for i in rounds:
         n, k, bound, B = large_params[i % len(large_params)]
         out.append(("large", n, k, bound, B, i % 2, seed * 7919 + i))
         n, k, bound, B = small_params[i % len(small_params)]
@@ -213,28 +216,34 @@ def run(count: int, seed: int, jobs: int) -> tuple[list[str], list[str], bool]:
 
     Returns the stderr lines (per suite: instance count, summed wall time and
     slowest case), the stdout lines (each violation, then the verdict) and
-    whether any case failed.
+    whether any case failed. Cases are drawn and run in batches, and only
+    running totals and violations are kept, so memory does not grow with
+    `count`.
     """
-    todo = cases(count, seed)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
+    totals: dict[str, list] = {}  # suite -> [instances, summed seconds, (slowest seconds, case)]
+    failures = []
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_case, todo))
-    else:
-        results = [run_case(c) for c in todo]
-    per_suite = collections.defaultdict(list)
-    for case, (desc, _, seconds) in zip(todo, results):
-        per_suite[case[0]].append((seconds, desc))
-    log = []
-    for suite, timings in sorted(per_suite.items()):
-        slowest, slowest_desc = max(timings)
-        log.append(f"verify: suite {suite}: {len(timings)} instances, "
-                   f"{sum(sec for sec, _ in timings):.2f} s, slowest {slowest_desc} {slowest:.2f} s")
-    failures = [(desc, violations) for desc, violations, _ in results if violations]
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        for first in range(0, count, ROUNDS_PER_BATCH):
+            batch = cases(range(first, min(first + ROUNDS_PER_BATCH, count)), seed)
+            for case, (desc, violations, seconds) in zip(batch, mapper(run_case, batch)):
+                entry = totals.setdefault(case[0], [0, 0.0, (0.0, "")])
+                entry[0] += 1
+                entry[1] += seconds
+                entry[2] = max(entry[2], (seconds, desc))
+                if violations:
+                    failures.append((desc, violations))
+    log = [f"verify: suite {suite}: {instances} instances, {seconds:.2f} s, "
+           f"slowest {slowest_desc} {slowest:.2f} s"
+           for suite, (instances, seconds, (slowest, slowest_desc)) in sorted(totals.items())]
+    checked = sum(instances for instances, _, _ in totals.values())
     out = [f"VIOLATION {desc}: {v}" for desc, violations in failures for v in violations]
     if failures:
-        out.append(f"verify: {len(failures)} of {len(todo)} checks failed")
+        out.append(f"verify: {len(failures)} of {checked} checks failed")
     else:
-        out.append(f"verify: all {len(todo)} checks passed")
+        out.append(f"verify: all {checked} checks passed")
     return log, out, bool(failures)

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -589,6 +590,24 @@ def test_verify_reports_each_violation_and_fails(monkeypatch, capsys):
     assert_suite_timings(captured.err, 2)
 
 
+def test_verify_memory_does_not_grow_with_count(monkeypatch):
+    # cases are drawn and run in batches: 50 batches peak no higher than 2
+    monkeypatch.setattr(verify, "run_case", lambda case: (f"{case[0]}({case[-1]})", [], 0.0))
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            verify.run(count, 1, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batches = verify.ROUNDS_PER_BATCH
+    peak(2 * batches)  # the first run also allocates what every later run reuses
+    small, large = peak(2 * batches), peak(50 * batches)
+    assert large < small * 1.25, (small, large)
+
+
 @pytest.mark.parametrize("flags", [["--count", "0"], ["--count", "-1"],
                                    ["--jobs", "0"], ["--jobs", "-2"]])
 def test_verify_rejects_a_run_that_checks_nothing(flags, capsys):
@@ -646,9 +665,27 @@ def test_generator_commands_import_generators_themselves(tmp_path):
     assert proc.stdout == "verify: all 4 checks passed\n"
 
 
+def test_eval_overflow_names_p(tmp_path):
+    # the center 2.5 is 2.5 from each point, and 2.5^100000 is beyond float
+    # range: exit 4 with one line that names p, and no warning even when
+    # warnings are errors
+    inst_f = write(tmp_path / "p.ecl", "ECL 1\n100000 1 2 1 1000\n0\n5\n")
+    one_f = write(tmp_path / "one.asg", "ASSIGN 1 2 1\n1\n1\n")
+    src = str(Path(eqclus.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "eqclus", "eval", inst_f, one_f],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: at p = 100000 the l_p cost needs powers beyond "
+                           "floating-point range\n")
+
+
 def test_verify_and_oracle_layering():
-    # only the verify command loads eqclus.verify; the oracle imports nothing
-    # of the pipeline, and the package root imports nothing at all
+    # only the verify command loads eqclus.verify and only a p >= 2 median
+    # loads eqclus.lp_median; the oracle imports nothing of the pipeline, and
+    # the package root imports nothing at all
     src = str(Path(eqclus.__file__).resolve().parent.parent)
 
     def loaded(module: str) -> set[str]:
@@ -658,7 +695,7 @@ def test_verify_and_oracle_layering():
                               capture_output=True, text=True, check=True)
         return {name for name in proc.stdout.split() if name.partition(".")[0] == "eqclus"}
 
-    assert "eqclus.verify" not in loaded("eqclus.cli")
+    assert not {"eqclus.verify", "eqclus.lp_median"} & loaded("eqclus.cli")
     assert loaded("eqclus.oracle") == {"eqclus", "eqclus.core", "eqclus.oracle"}
 
 
